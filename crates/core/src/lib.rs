@@ -188,7 +188,7 @@ pub enum CandidateOutcome {
 /// The rewriting engine.
 ///
 /// Candidate sweeps ([`Rewriter::rewrite_candidates`],
-/// [`Rewriter::rewrite_all`], [`Rewriter::rewrite_best`]) run a two-phase
+/// [`Rewriter::rewrite_all`]) run a two-phase
 /// fast path: a sound per-AST signature filter (see [`signature`]) prunes
 /// provably unmatchable candidates, then the survivors fan out across a
 /// `std::thread::scope` pool. Results are always reported in input order,
@@ -368,25 +368,5 @@ impl<'a> Rewriter<'a> {
         asts.iter()
             .filter_map(|ast| self.rewrite(query, ast).ok().flatten())
             .collect()
-    }
-
-    /// Among all matching ASTs, pick the one whose backing table has the
-    /// fewest rows (related problem (b): deciding whether/which AST to use).
-    /// Best-effort over errored ASTs, like [`Rewriter::rewrite_all`]. Ties
-    /// break toward the earliest-registered AST, deterministically.
-    pub fn rewrite_best(
-        &self,
-        query: &QgmGraph,
-        asts: &[RegisteredAst],
-        row_count: impl Fn(&str) -> usize,
-    ) -> Option<Rewrite> {
-        self.rewrite_all(query, asts)
-            .into_iter()
-            .min_by_key(|r| row_count(&r.ast_name))
-    }
-
-    /// Diagnostic: the number of (query box, AST box) pairs that matched.
-    pub fn match_count(&self, query: &QgmGraph, ast: &RegisteredAst) -> usize {
-        run_navigator(query, &ast.graph, self.catalog).table.len()
     }
 }

@@ -273,23 +273,4 @@ mod tests {
             .iter()
             .any(|b| matches!(&b.kind, BoxKind::BaseTable { table } if table == "trans")));
     }
-
-    #[test]
-    fn match_count_reports_pair_statistics() {
-        let cat = Catalog::credit_card_sample();
-        let ast = RegisteredAst::from_sql(
-            "a",
-            "select faid, flid, count(*) as cnt from trans group by faid, flid",
-            &cat,
-        )
-        .unwrap();
-        let q = build_query(
-            &parse_query("select faid, count(*) as cnt from trans group by faid").unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let n = Rewriter::new(&cat).match_count(&q, &ast);
-        // At least: base/base, lower selects, group-bys, top selects.
-        assert!(n >= 4, "expected a chain of matches, got {n}");
-    }
 }

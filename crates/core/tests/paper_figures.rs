@@ -494,13 +494,11 @@ fn multi_ast_routing_picks_a_match() {
     )
     .unwrap();
     let rewriter = Rewriter::new(&cat);
-    let all = rewriter.rewrite_all(&q, &[coarse.clone(), fine.clone()]);
+    let all = rewriter.rewrite_all(&q, &[coarse, fine]);
     assert_eq!(all.len(), 2, "both ASTs can answer the query");
-    let best = rewriter
-        .rewrite_best(&q, &[coarse, fine], |name| db.row_count(name))
-        .unwrap();
-    assert_eq!(best.ast_name, "coarse", "smaller AST wins");
-    let rows = execute(&best.graph, &db).unwrap();
-    let orig = execute(&q, &db).unwrap();
-    assert_eq!(sorted(rows), sorted(orig));
+    let orig = sorted(execute(&q, &db).unwrap());
+    for rw in &all {
+        let rows = execute(&rw.graph, &db).unwrap();
+        assert_eq!(sorted(rows), orig, "via {}", rw.ast_name);
+    }
 }

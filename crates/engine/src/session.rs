@@ -11,7 +11,8 @@ use crate::exec::{execute_with, ExecOptions};
 use crate::materialize::materialize_with;
 use sumtab_catalog::{Catalog, Column, SummaryTableDef, Table, Value};
 use sumtab_parser::{
-    parse_statements, render::render_query, Expr, Query, SelectItem, Statement, TableRef,
+    parse_statements, render::render_query, CreateTable, Expr, Query, SelectItem, Statement,
+    TableRef,
 };
 use sumtab_qgm::build_query;
 
@@ -67,35 +68,9 @@ impl Session {
     /// Run a single parsed statement.
     pub fn run_statement(&mut self, stmt: &Statement) -> Result<StatementResult, SumtabError> {
         match stmt {
-            Statement::Query(q) => {
-                let g = build_query(q, &self.catalog).map_err(err)?;
-                let header = g
-                    .boxed(g.root)
-                    .outputs
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect();
-                let rows = execute_with(&g, &self.db, &self.exec).map_err(err)?;
-                Ok(StatementResult::Rows(header, rows))
-            }
+            Statement::Query(q) => self.run_query(q),
             Statement::CreateTable(ct) => {
-                let cols = ct
-                    .columns
-                    .iter()
-                    .map(|c| {
-                        if c.nullable {
-                            Column::nullable(&c.name, c.ty)
-                        } else {
-                            Column::new(&c.name, c.ty)
-                        }
-                    })
-                    .collect();
-                let mut table = Table::new(&ct.name, cols);
-                if !ct.primary_key.is_empty() {
-                    let keys: Vec<&str> = ct.primary_key.iter().map(String::as_str).collect();
-                    table = table.with_primary_key(&keys).map_err(err)?;
-                }
-                self.catalog.add_table(table).map_err(err)?;
+                self.catalog.add_table(table_from_ddl(ct)?).map_err(err)?;
                 Ok(StatementResult::Done)
             }
             Statement::CreateSummaryTable { name, query } => {
@@ -171,6 +146,20 @@ impl Session {
         }
     }
 
+    /// Execute a parsed SELECT. Read-only, so front ends that resolve a
+    /// statement before applying it can run queries through `&self`.
+    pub fn run_query(&self, q: &Query) -> Result<StatementResult, SumtabError> {
+        let g = build_query(q, &self.catalog).map_err(err)?;
+        let header = g
+            .boxed(g.root)
+            .outputs
+            .iter()
+            .map(|c| c.name.clone())
+            .collect();
+        let rows = execute_with(&g, &self.db, &self.exec).map_err(err)?;
+        Ok(StatementResult::Rows(header, rows))
+    }
+
     /// Run a single SELECT and return `(header, rows)`.
     pub fn query(&mut self, sql: &str) -> Result<(Vec<String>, Vec<Row>), SumtabError> {
         let q = sumtab_parser::parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
@@ -181,6 +170,28 @@ impl Session {
             }),
         }
     }
+}
+
+/// The schema a `CREATE TABLE` statement declares. Public so front ends that
+/// log DDL as a [`Table`] build it exactly as [`Session::run_statement`] does.
+pub fn table_from_ddl(ct: &CreateTable) -> Result<Table, SumtabError> {
+    let cols = ct
+        .columns
+        .iter()
+        .map(|c| {
+            if c.nullable {
+                Column::nullable(&c.name, c.ty)
+            } else {
+                Column::new(&c.name, c.ty)
+            }
+        })
+        .collect();
+    let table = Table::new(&ct.name, cols);
+    if ct.primary_key.is_empty() {
+        return Ok(table);
+    }
+    let keys: Vec<&str> = ct.primary_key.iter().map(String::as_str).collect();
+    table.with_primary_key(&keys).map_err(err)
 }
 
 /// The multiset of rows in `table` matched by `where_clause`, computed by

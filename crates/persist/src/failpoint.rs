@@ -14,6 +14,7 @@
 //! | `match`             | every AST match attempt fails (matcher error path)  |
 //! | `execute-rewritten` | executing an AST-backed plan fails (fallback path)  |
 //! | `maintain`          | incremental maintenance fails (full-refresh path)   |
+//! | `refresh`           | a summary-table full refresh fails (left stale)     |
 //! | `wal-append`        | WAL append writes a **short (torn) record** and errors |
 //! | `wal-fsync`         | WAL fsync fails after a complete write              |
 //! | `snapshot-write`    | snapshot temp-file write is short and errors        |

@@ -32,9 +32,10 @@
 //! ## Soundness rules
 //!
 //! The insert-delta preconditions (linearity, `SELECT ← simple GROUP BY`
-//! shape, no HAVING/grouping sets/DISTINCT/scalar subqueries, plain
-//! projection) are inherited from the historical ad-hoc check. On top of
-//! those, delete maintenance requires:
+//! shape over an aggregation-free subgraph, no HAVING/grouping
+//! sets/DISTINCT/scalar subqueries, plain projection) are inherited from
+//! the historical ad-hoc check. On top of those, delete maintenance
+//! requires:
 //!
 //! * **Group liveness**: a per-group count of *all* rows, so a group is
 //!   dropped exactly when it empties. `COUNT(*)` qualifies, as does
@@ -363,6 +364,27 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
             )],
         );
     };
+    // Nested aggregation: aggregating only the delta rows through an inner
+    // GROUP BY yields inner groups *of the delta*, not the inner groups the
+    // mutation changed, so the outer merge would count the wrong things.
+    // (The root consumes only `gb`, so every other reachable GROUP BY lies
+    // below it.)
+    let inner_gb = graph
+        .topo_order()
+        .into_iter()
+        .rev()
+        .find(|&b| b != gb_id && graph.boxed(b).is_group_by());
+    if let Some(inner) = inner_gb {
+        return MaintainabilityReport::refresh_only(
+            &table_lc,
+            vec![obstruction(
+                graph,
+                inner,
+                ObstructionKind::NoAggregationRoot,
+                "nested aggregation: a GROUP BY below the root GROUP BY",
+            )],
+        );
+    }
     if !gbk.is_simple() {
         return MaintainabilityReport::refresh_only(
             &table_lc,

@@ -5,17 +5,22 @@
 //!
 //! ## Protocol (logical redo; DESIGN.md §12 has the invariants)
 //!
-//! Every mutating operation is applied **in memory first**, then framed as
-//! one or more [`WalRecord`]s and appended (checksummed, fsynced) to
-//! `wal.bin`; only then is it acknowledged. Every `snapshot_every` records
-//! the whole session state is serialized to `snapshot.bin` via an atomic
-//! temp-file-then-rename, after which the log is reset. Recovery
-//! ([`DurableSession::open`]) loads the newest valid snapshot, replays the
-//! WAL records it does not already cover, truncates any torn tail at the
-//! last valid record, and re-runs the plan verifier on every recovered AST
-//! registration — an AST that no longer verifies is *skipped* with a typed
-//! [`RecoverError::AstRejected`] entry in the [`RecoveryReport`], never
-//! loaded and never a panic.
+//! Every mutating operation is one [`WalRecord`]: a statement is resolved
+//! to its record ([`SummarySession::resolve`]), the record is applied **in
+//! memory first** ([`SummarySession::apply`]), and then that same record is
+//! appended (checksummed, fsynced) to `wal.bin`; only then is it
+//! acknowledged. Memory and log agree afterwards either way: an apply that
+//! fails changed nothing and logs nothing, an apply that took effect is
+//! logged even when it reports a summary it could not maintain.
+//!
+//! Every `snapshot_every` records the whole session state is serialized to
+//! `snapshot.bin` via an atomic temp-file-then-rename, after which the log
+//! is reset. Recovery ([`DurableSession::open`]) loads the newest valid
+//! snapshot, replays the WAL records it does not already cover, truncates
+//! any torn tail at the last valid record, and re-runs the plan verifier on
+//! every recovered AST registration — an AST that no longer verifies is
+//! *skipped* with a typed [`RecoverError::AstRejected`] entry in the
+//! [`RecoveryReport`], never loaded and never a panic.
 //!
 //! ## Degradation, not failure
 //!
@@ -29,17 +34,17 @@
 //!
 //! ## Replay determinism
 //!
-//! Replay drives the *same* code paths as live execution (inserts,
-//! incremental maintenance, materialization), so epochs advance identically
-//! and recovered staleness bookkeeping matches the pre-crash session. The
-//! one non-deterministic live event — an incremental maintenance attempt
-//! that a transient fault pushed onto the full-refresh path — is
-//! neutralized by logging an idempotent `Refresh` record after the
-//! `Append`. After replay the plan-cache generation is bumped once more
-//! than the pre-crash session ever saw, so no plan cached before the crash
-//! can validate against the recovered session.
+//! Replay calls the *same* [`SummarySession::apply`] as live execution, on
+//! the same records, so epochs advance identically and recovered staleness
+//! bookkeeping matches the pre-crash session. The one non-deterministic
+//! live event — an incremental maintenance attempt that a transient fault
+//! pushed onto the full-refresh path — is neutralized by logging an
+//! idempotent `Refresh` record after the change record. After replay the
+//! plan-cache generation is bumped once more than the pre-crash session
+//! ever saw, so no plan cached before the crash can validate against the
+//! recovered session.
 
-use crate::{AppliedOp, SummarySession};
+use crate::{Applied, SummarySession};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use sumtab_catalog::{Catalog, Table};
@@ -325,17 +330,19 @@ impl DurableSession {
         self.inner.set_router_options(opts);
     }
 
-    /// Run a script durably: each statement is applied in memory, then its
-    /// logical records are appended to the WAL before the next statement
-    /// runs. A failed statement surfaces as an error with nothing logged
-    /// for it; a failed *log append* (after retries) degrades the session
-    /// to ephemeral mode and the script continues.
+    /// Run a script durably: each statement is resolved, then committed
+    /// (applied in memory, then logged) before the next statement runs. A
+    /// statement that fails before changing anything logs nothing; a failed
+    /// *log append* (after retries) degrades the session to ephemeral mode
+    /// and the script continues.
     pub fn run_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, SumtabError> {
         let stmts = parse_statements(sql).map_err(|e| SumtabError::parse(sql, e))?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
-            let (result, op) = self.inner.apply_statement(stmt)?;
-            self.log_op(op);
+            let (result, record) = self.inner.resolve(stmt)?;
+            if let Some(rec) = record {
+                self.commit(rec)?;
+            }
             out.push(result);
         }
         Ok(out)
@@ -361,44 +368,30 @@ impl DurableSession {
     /// affected summaries are maintained, and the batch (plus any
     /// fault-degraded refreshes) is logged.
     pub fn append(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<String>, SumtabError> {
-        let report = self.inner.append_with_report(table, rows.clone())?;
-        self.log_op(AppliedOp::Append {
-            table: table.to_string(),
-            rows,
-            refreshed: report.refreshed,
-        });
-        Ok(report.maintained)
+        let table = table.to_string();
+        self.commit(WalRecord::Append { table, rows })
+            .map(|a| a.maintained)
     }
 
     /// Durable [`SummarySession::refresh`].
     pub fn refresh(&mut self, name: &str) -> Result<(), SumtabError> {
-        self.inner.refresh(name)?;
-        self.log(WalRecord::Refresh {
-            name: name.to_string(),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        let name = name.to_string();
+        self.commit(WalRecord::Refresh { name }).map(drop)
     }
 
     /// Durable [`SummarySession::deregister`].
     pub fn deregister(&mut self, name: &str) -> Result<(), SumtabError> {
-        self.inner.deregister(name)?;
-        self.log(WalRecord::DeregisterAst {
-            name: name.to_string(),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        let name = name.to_string();
+        self.commit(WalRecord::DeregisterAst { name }).map(drop)
     }
 
     /// Durably invalidate a table: bump its modification epoch (marking
     /// every summary snapshotted against it stale, and invalidating cached
     /// plans that read it) without changing its data.
     pub fn invalidate(&mut self, table: &str) {
-        self.inner.session.db.bump_epoch(table);
-        self.log(WalRecord::EpochBump {
-            table: table.to_string(),
-        });
-        self.maybe_snapshot();
+        let table = table.to_string();
+        // Applying an epoch bump cannot fail.
+        let _ = self.commit(WalRecord::EpochBump { table });
     }
 
     /// Take a snapshot immediately and reset the log. Errors if the
@@ -423,75 +416,32 @@ impl DurableSession {
         Ok(())
     }
 
-    fn log_op(&mut self, op: AppliedOp) {
-        match op {
-            AppliedOp::None => return,
-            AppliedOp::CreateTable(t) => self.log(WalRecord::CreateTable(t)),
-            AppliedOp::AddForeignKey {
-                child_table,
-                columns,
-                parent_table,
-            } => self.log(WalRecord::AddForeignKey {
-                child_table,
-                columns,
-                parent_table,
-            }),
-            AppliedOp::RegisterAst { name, query_sql } => {
-                self.log(WalRecord::RegisterAst { name, query_sql })
-            }
-            AppliedOp::Insert { table, rows } => self.log(WalRecord::Insert { table, rows }),
-            AppliedOp::Append {
-                table,
-                rows,
-                refreshed,
-            } => {
-                self.log(WalRecord::Append { table, rows });
-                // Neutralize non-deterministic degradations: replaying the
-                // append may succeed incrementally where the live run fell
-                // back to a refresh; the refresh record converges both.
-                for name in refreshed {
-                    self.log(WalRecord::Refresh { name });
-                }
-            }
-            AppliedOp::Delete {
-                table,
-                rows,
-                refreshed,
-            } => {
-                self.log(WalRecord::Delete { table, rows });
-                // Same convergence contract as Append: the live run may have
-                // degraded to a refresh non-deterministically.
-                for name in refreshed {
-                    self.log(WalRecord::Refresh { name });
-                }
-            }
-            AppliedOp::Update {
-                table,
-                old_rows,
-                new_rows,
-                refreshed,
-            } => {
-                self.log(WalRecord::Update {
-                    table,
-                    old_rows,
-                    new_rows,
-                });
-                for name in refreshed {
-                    self.log(WalRecord::Refresh { name });
-                }
-            }
-            AppliedOp::DeregisterAst { name } => self.log(WalRecord::DeregisterAst { name }),
+    /// The one durable write path: apply the record in memory, log that
+    /// same record, then log an idempotent `Refresh` for every summary the
+    /// apply degraded onto a full recompute (the degradation may be a
+    /// transient fault that replay will not see; the refresh record
+    /// converges both).
+    ///
+    /// Memory and log agree when this returns, either way: `apply` failing
+    /// means nothing changed and nothing is logged; once it took effect the
+    /// record is logged even if [`Applied::failed`] then surfaces as `Err`.
+    fn commit(&mut self, rec: WalRecord) -> Result<Applied, SumtabError> {
+        let applied = self.inner.apply(&rec)?;
+        self.log(&rec);
+        for name in &applied.refreshed {
+            self.log(&WalRecord::Refresh { name: name.clone() });
         }
         self.maybe_snapshot();
+        applied.into_result()
     }
 
     /// Append one record, degrading to ephemeral mode when the WAL fails
     /// even after bounded retry. The in-memory application has already
     /// happened; what is lost is only the *durability* of this op — which
     /// is exactly what the mode change reports.
-    fn log(&mut self, rec: WalRecord) {
+    fn log(&mut self, rec: &WalRecord) {
         let Some(w) = &mut self.wal else { return };
-        match w.append(&rec) {
+        match w.append(rec) {
             Ok(_) => self.records_since_snapshot += 1,
             Err(e) => {
                 self.mode = DurabilityMode::Ephemeral {
@@ -655,112 +605,51 @@ fn restore_session(
     Ok(inner)
 }
 
-/// Re-apply one WAL record. Records are kind-authoritative: an `Insert`
-/// replays as a plain insert even if an AST now reads the table, because
-/// that is what the live session durably acknowledged.
+/// Re-apply one WAL record through the live [`SummarySession::apply`].
+/// Recovery-only on top of it: the verifier gate on replayed registrations,
+/// tolerance for records naming an AST recovery already rejected, and
+/// typed errors.
 fn replay_record(
     inner: &mut SummarySession,
     lsn: u64,
     rec: &WalRecord,
     report: &mut RecoveryReport,
 ) -> Result<(), RecoverError> {
-    let rerr = |detail: String| RecoverError::Replay { lsn, detail };
-    match rec {
-        WalRecord::CreateTable(t) => {
-            inner
-                .session
-                .catalog
-                .add_table(t.clone())
-                .map_err(|e| rerr(format!("create table `{}`: {e}", t.name)))?;
-            inner.bump_plan_generation();
-        }
-        WalRecord::AddForeignKey {
-            child_table,
-            columns,
-            parent_table,
-        } => {
-            let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-            inner
-                .session
-                .catalog
-                .add_foreign_key(child_table, &cols, parent_table)
-                .map_err(|e| rerr(format!("add foreign key on `{child_table}`: {e}")))?;
-            inner.bump_plan_generation();
-        }
-        WalRecord::RegisterAst { name, query_sql } => {
-            // Re-run the full registration path (materialize + register),
-            // then gate on the verifier exactly as the satellite requires.
-            let ddl = format!("create summary table {name} as ({query_sql})");
-            match inner.run_script(&ddl) {
-                Ok(_) => {
-                    let verdict = inner
-                        .ast_states()
-                        .iter()
-                        .find(|st| st.ast.name.eq_ignore_ascii_case(name))
-                        .map(|st| {
-                            sumtab_qgm::verify::verify_plan(&st.ast.graph, &inner.session.catalog)
-                        });
-                    if let Some(Err(e)) = verdict {
-                        report.rejected.push(RecoverError::AstRejected {
-                            name: name.clone(),
-                            reason: format!("plan verifier rejected replayed AST: {e}"),
-                        });
-                        // Typed skip: remove it cleanly, keep recovering.
-                        let _ = inner.deregister(name);
-                    }
-                }
-                Err(e) => report.rejected.push(RecoverError::AstRejected {
+    match (rec, inner.apply(rec)) {
+        (WalRecord::RegisterAst { name, .. }, Ok(_)) => {
+            let verdict = inner
+                .ast_states()
+                .iter()
+                .find(|st| st.ast.name.eq_ignore_ascii_case(name))
+                .map(|st| sumtab_qgm::verify::verify_plan(&st.ast.graph, &inner.session.catalog));
+            if let Some(Err(e)) = verdict {
+                report.rejected.push(RecoverError::AstRejected {
                     name: name.clone(),
-                    reason: format!("replayed registration failed: {e}"),
-                }),
+                    reason: format!("plan verifier rejected replayed AST: {e}"),
+                });
+                // Typed skip: remove it cleanly, keep recovering.
+                let _ = inner.apply(&WalRecord::DeregisterAst { name: name.clone() });
             }
         }
-        WalRecord::DeregisterAst { name } => {
-            if let Err(e) = inner.deregister(name) {
-                // Deregistering an AST that recovery already rejected is a
-                // no-op, not a failure.
-                if !report.is_rejected(name) {
-                    return Err(rerr(format!("deregister `{name}`: {e}")));
-                }
-            }
+        (WalRecord::RegisterAst { name, .. }, Err(e)) => {
+            report.rejected.push(RecoverError::AstRejected {
+                name: name.clone(),
+                reason: format!("replayed registration failed: {e}"),
+            })
         }
-        WalRecord::Insert { table, rows } => {
-            inner
-                .session
-                .db
-                .insert(&inner.session.catalog, table, rows.clone())
-                .map_err(|e| rerr(format!("insert into `{table}`: {e}")))?;
+        // Deregistering or refreshing an AST that recovery already rejected
+        // is a no-op, not a failure.
+        (WalRecord::DeregisterAst { name } | WalRecord::Refresh { name }, Err(_))
+            if report.is_rejected(name) => {}
+        (_, Err(e)) => {
+            return Err(RecoverError::Replay {
+                lsn,
+                detail: e.to_string(),
+            })
         }
-        WalRecord::Append { table, rows } => {
-            inner
-                .append(table, rows.clone())
-                .map_err(|e| rerr(format!("append to `{table}`: {e}")))?;
-        }
-        WalRecord::Refresh { name } => {
-            if report.is_rejected(name) {
-                return Ok(());
-            }
-            inner
-                .refresh(name)
-                .map_err(|e| rerr(format!("refresh `{name}`: {e}")))?;
-        }
-        WalRecord::EpochBump { table } => {
-            inner.session.db.bump_epoch(table);
-        }
-        WalRecord::Delete { table, rows } => {
-            inner
-                .delete_rows(table, rows.clone())
-                .map_err(|e| rerr(format!("delete from `{table}`: {e}")))?;
-        }
-        WalRecord::Update {
-            table,
-            old_rows,
-            new_rows,
-        } => {
-            inner
-                .update_rows(table, old_rows.clone(), new_rows.clone())
-                .map_err(|e| rerr(format!("update `{table}`: {e}")))?;
-        }
+        // `Applied::failed` is not a replay error: the live session logged
+        // this record with that summary left stale, and so does replay.
+        (_, Ok(_)) => {}
     }
     Ok(())
 }

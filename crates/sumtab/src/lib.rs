@@ -32,14 +32,18 @@
 //!   summary table records its base tables' epochs when (re)materialized and
 //!   the planner skips any AST whose snapshot no longer matches
 //!   ([`SummarySession::plan_detail`] reports the skip reasons, as does
-//!   `EXPLAIN`). INSERTs issued through [`SummarySession::run_script`] keep
+//!   `EXPLAIN`). DML issued through [`SummarySession::run_script`] keeps
 //!   affected summaries fresh via incremental maintenance.
+//! * **One change path**: a statement resolves to a [`persist::WalRecord`]
+//!   ([`SummarySession::resolve`]) and [`SummarySession::apply`] is the one
+//!   function that carries a record out — for live DML, for the
+//!   programmatic entry points, and for crash-recovery replay alike.
 //! * **Fallback**: if an AST-backed plan fails *at execution time*,
 //!   [`SummarySession::query`] re-runs the query from base tables and
 //!   reports the cause in [`QueryResult::fallback`] instead of erroring.
-//! * **Fail points**: the `match`, `execute-rewritten`, and `maintain`
-//!   boundaries carry [`failpoint`] hooks so the degraded paths are
-//!   deterministically testable, as do the WAL/snapshot IO boundaries
+//! * **Fail points**: the `match`, `execute-rewritten`, `maintain`, and
+//!   `refresh` boundaries carry [`failpoint`] hooks so the degraded paths
+//!   are deterministically testable, as do the WAL/snapshot IO boundaries
 //!   (`wal-append`, `wal-fsync`, `snapshot-write`, `snapshot-rename`).
 //! * **Durability**: [`DurableSession`] wraps a [`SummarySession`] with a
 //!   checksummed write-ahead log plus periodic atomic snapshots, and
@@ -77,9 +81,12 @@ pub use sumtab_qgm::{build_query, graph_fingerprint, render_graph_sql, QgmGraph}
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-use sumtab_engine::session::StatementResult;
+use sumtab_engine::session::{literal_rows, table_from_ddl, StatementResult};
+use sumtab_engine::{matched_rows, update_deltas};
 use sumtab_matcher::cost::{PlanCost, RoutePolicy};
+use sumtab_parser::render::render_query;
 use sumtab_parser::{parse_query, parse_statements, Statement};
+use sumtab_persist::WalRecord;
 
 /// The result of a transparently-rewritten query.
 #[derive(Debug, Clone)]
@@ -145,102 +152,36 @@ pub struct SkippedAst {
     pub reason: String,
 }
 
-/// What a statement *logically did* to session state — the unit the
-/// durability layer ([`durable`]) frames into write-ahead-log records.
-/// Replaying the same ops against the same starting state reproduces the
-/// session exactly (data, catalog, and epoch bookkeeping alike), which is
-/// the contract crash recovery depends on.
-#[derive(Debug, Clone)]
-pub enum AppliedOp {
-    /// No durable effect (a query).
-    None,
-    /// A table was created, with this registered schema.
-    CreateTable(catalog::Table),
-    /// An RI constraint was declared, by names (replay re-validates).
-    AddForeignKey {
-        /// Referencing table.
-        child_table: String,
-        /// Referencing column names.
-        columns: Vec<String>,
-        /// Referenced table.
-        parent_table: String,
-    },
-    /// A summary table was materialized and registered for rewriting.
-    RegisterAst {
-        /// The AST's name.
-        name: String,
-        /// Its canonical defining SQL (as stored in the catalog).
-        query_sql: String,
-    },
-    /// A plain insert (no registered AST reads the table).
-    Insert {
-        /// Target table.
-        table: String,
-        /// The inserted values.
-        rows: Vec<Row>,
-    },
-    /// An insert routed through summary maintenance.
-    Append {
-        /// Target table.
-        table: String,
-        /// The inserted values.
-        rows: Vec<Row>,
-        /// ASTs whose *incremental* path failed and degraded to a full
-        /// refresh. The degradation can be non-deterministic (a transient
-        /// fault), so replay must re-refresh these to converge — the
-        /// durability layer logs one `Refresh` record per name.
-        refreshed: Vec<String>,
-    },
-    /// A summary table was deregistered (definition, schema, and data).
-    DeregisterAst {
-        /// The AST's name.
-        name: String,
-    },
-    /// A delete, with the exact removed rows (resolving the `WHERE` at
-    /// replay time could match different rows; logging values keeps redo
-    /// logical *and* deterministic).
-    Delete {
-        /// Target table.
-        table: String,
-        /// The removed rows.
-        rows: Vec<Row>,
-        /// ASTs whose incremental path degraded to a full refresh (same
-        /// replay contract as [`AppliedOp::Append::refreshed`]).
-        refreshed: Vec<String>,
-    },
-    /// An update, recorded as the removed old rows plus the inserted new
-    /// rows (positionally paired).
-    Update {
-        /// Target table.
-        table: String,
-        /// The pre-image rows.
-        old_rows: Vec<Row>,
-        /// The post-image rows.
-        new_rows: Vec<Row>,
-        /// ASTs whose incremental path degraded to a full refresh.
-        refreshed: Vec<String>,
-    },
-}
-
-/// How an [`SummarySession::append_with_report`] kept each affected summary
-/// fresh.
+/// What [`SummarySession::apply`] did with one change record. `Ok(Applied)`
+/// means the record took effect on the base state (and must be logged by a
+/// durable caller); `Err` from `apply` means nothing was changed.
 #[derive(Debug, Clone, Default)]
-pub struct AppendReport {
+pub struct Applied {
     /// ASTs maintained through the incremental merge path.
     pub maintained: Vec<String>,
     /// ASTs recomputed in full because their incremental path failed
-    /// (verify gate, injected fault, or merge error). ASTs whose definition
-    /// *never* had an incremental plan (e.g. HAVING) are not listed: their
-    /// full refresh re-runs deterministically on replay.
+    /// (verify gate, injected fault, or merge error). The degradation can be
+    /// non-deterministic (a transient fault), so the durability layer logs
+    /// one idempotent `Refresh` record per name to make replay converge.
+    /// ASTs whose definition *never* had an incremental plan (e.g. HAVING)
+    /// are not listed: their full refresh re-runs deterministically on
+    /// replay.
     pub refreshed: Vec<String>,
+    /// The first AST whose incremental merge *and* fallback refresh both
+    /// failed. The base change stands; that AST keeps its old epoch
+    /// snapshot, so the planner's staleness gate skips it (named in
+    /// [`PlanDetail::skipped`]) until a later refresh succeeds.
+    pub failed: Option<SumtabError>,
 }
 
-/// Which delta primitive an incremental maintenance step runs. An update is
-/// the composition: delete the pre-images, then append the post-images.
-enum DeltaApply<'a> {
-    Append(&'a [Row]),
-    Delete(&'a [Row]),
-    Update { old: &'a [Row], new: &'a [Row] },
+impl Applied {
+    /// Surface [`Applied::failed`] as the statement's error.
+    pub fn into_result(self) -> Result<Applied, SumtabError> {
+        match self.failed {
+            Some(e) => Err(e),
+            None => Ok(self),
+        }
+    }
 }
 
 /// How the cost-based router disposed of one query's rewrite candidates.
@@ -617,34 +558,6 @@ impl SummarySession {
         })
     }
 
-    /// Register the named (already materialized) summary table for
-    /// rewriting, snapshotting its base tables' epochs.
-    fn register_ast(&mut self, name: &str) -> Result<(), SumtabError> {
-        let def = self.session.catalog.summary_table(name).ok_or_else(|| {
-            SumtabError::Catalog(sumtab_catalog::CatalogError::UnknownTable(name.to_string()))
-        })?;
-        let ast = RegisteredAst::from_sql(&def.name, &def.query_sql, &self.session.catalog)
-            .map_err(|e| ast_def_err(&def.query_sql, e))?;
-        let st = AstState::new(ast, &self.session.catalog, &self.session.db);
-        // Counting-delta maintenance of a definition that does not project a
-        // row counter needs the hidden one: re-materialize the backing table
-        // through the augmented exec graph (the extra trailing column lives
-        // only in backing rows — the catalog schema, and therefore every
-        // query over the summary, never sees it).
-        if st.maint.hidden_counter {
-            let rows = sumtab_engine::execute_with(
-                &st.maint.exec_graph,
-                &self.session.db,
-                &self.session.exec,
-            )
-            .map_err(|e| SumtabError::exec(format!("materialization of `{name}`"), e))?;
-            self.session.db.put_table(name, rows);
-        }
-        self.asts.push(st);
-        self.ast_generation += 1;
-        Ok(())
-    }
-
     /// The current plan-cache generation: bumped by AST registration and by
     /// DDL that can change match outcomes. Cached plans from earlier
     /// generations are invalidated on lookup.
@@ -658,23 +571,6 @@ impl SummarySession {
     /// recovered session, whatever epochs replay reproduced.
     pub fn bump_plan_generation(&mut self) {
         self.ast_generation += 1;
-    }
-
-    /// Deregister a summary table: drops its definition and backing schema
-    /// from the catalog, its materialized data from the database, and its
-    /// rewrite registration. Errors if no such summary table exists.
-    pub fn deregister(&mut self, name: &str) -> Result<(), SumtabError> {
-        self.session
-            .catalog
-            .drop_summary_table(name)
-            .map_err(SumtabError::Catalog)?;
-        self.session.db.drop_table(name);
-        self.asts
-            .retain(|st| !st.ast.name.eq_ignore_ascii_case(name));
-        self.registration_failures
-            .retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.ast_generation += 1;
-        Ok(())
     }
 
     /// Cumulative plan-cache statistics for this session.
@@ -734,159 +630,193 @@ impl SummarySession {
         None
     }
 
-    /// Run a semicolon-separated script. `CREATE SUMMARY TABLE` statements
-    /// are additionally registered for rewriting, and `INSERT`s into tables
-    /// read by a registered AST are routed through [`SummarySession::append`]
-    /// so the affected summaries stay fresh (incrementally where the
-    /// definition allows, by full recomputation otherwise).
+    /// Run a semicolon-separated script: each statement is resolved to the
+    /// change record it means ([`SummarySession::resolve`]) and that record
+    /// is applied ([`SummarySession::apply`]). `CREATE SUMMARY TABLE`
+    /// registers the summary for rewriting, and DML on tables read by a
+    /// registered AST keeps the affected summaries fresh (incrementally
+    /// where the definition allows, by full recomputation otherwise).
     pub fn run_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, SumtabError> {
         let stmts = parse_statements(sql).map_err(|e| SumtabError::parse(sql, e))?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
-            out.push(self.apply_statement(stmt)?.0);
+            let (result, record) = self.resolve(stmt)?;
+            if let Some(rec) = record {
+                self.apply(&rec)?.into_result()?;
+            }
+            out.push(result);
         }
         Ok(out)
     }
 
-    /// Run one parsed statement and report what it logically did as an
-    /// [`AppliedOp`] — the hook the durability layer uses to frame WAL
-    /// records *after* the in-memory application succeeds (logical redo:
-    /// apply, then log, then acknowledge).
-    pub fn apply_statement(
-        &mut self,
+    /// Resolve one parsed statement against current state, read-only: its
+    /// result, plus the change record it means (`None` for a query, which
+    /// simply executes, and for a DELETE/UPDATE that matches no row).
+    ///
+    /// DELETE/UPDATE resolve their `WHERE` here into row *values*: the
+    /// durability layer logs exactly those (resolving the predicate again
+    /// at replay time could match different rows), and summary maintenance
+    /// needs the pre-images. An INSERT becomes `Append` when some registered
+    /// AST reads the table and a plain `Insert` otherwise.
+    pub fn resolve(
+        &self,
         stmt: &Statement,
-    ) -> Result<(StatementResult, AppliedOp), SumtabError> {
-        match stmt {
-            Statement::Insert { table, rows } if self.any_ast_reads(table) => {
-                let values = sumtab_engine::session::literal_rows(rows)?;
-                let n = values.len();
-                let report = self.append_with_report(table, values.clone())?;
-                Ok((
-                    StatementResult::Count(n),
-                    AppliedOp::Append {
-                        table: table.clone(),
-                        rows: values,
-                        refreshed: report.refreshed,
-                    },
-                ))
+    ) -> Result<(StatementResult, Option<WalRecord>), SumtabError> {
+        let s = &self.session;
+        let counted =
+            |n: usize, rec: WalRecord| (StatementResult::Count(n), (n > 0).then_some(rec));
+        Ok(match stmt {
+            Statement::Query(q) => (s.run_query(q)?, None),
+            Statement::CreateTable(ct) => (
+                StatementResult::Done,
+                Some(WalRecord::CreateTable(table_from_ddl(ct)?)),
+            ),
+            Statement::AddForeignKey {
+                child_table,
+                columns,
+                parent_table,
+            } => (
+                StatementResult::Done,
+                Some(WalRecord::AddForeignKey {
+                    child_table: child_table.clone(),
+                    columns: columns.clone(),
+                    parent_table: parent_table.clone(),
+                }),
+            ),
+            // The canonical rendering is what the catalog stores and what
+            // re-registration (recovery, `with_data`) parses.
+            Statement::CreateSummaryTable { name, query } => (
+                StatementResult::Done,
+                Some(WalRecord::RegisterAst {
+                    name: name.clone(),
+                    query_sql: render_query(query),
+                }),
+            ),
+            Statement::Insert { table, rows } => {
+                let (table, rows) = (table.clone(), literal_rows(rows)?);
+                let n = rows.len();
+                let record = if self.any_ast_reads(&table) {
+                    WalRecord::Append { table, rows }
+                } else {
+                    WalRecord::Insert { table, rows }
+                };
+                (StatementResult::Count(n), Some(record))
             }
-            // DELETE/UPDATE always resolve their matched rows here (not in
-            // the engine session): the durability layer logs row *values*,
-            // and summary maintenance needs the pre-images.
             Statement::Delete {
                 table,
                 where_clause,
             } => {
-                let victims = sumtab_engine::matched_rows(
-                    &self.session.catalog,
-                    &self.session.db,
-                    &self.session.exec,
-                    table,
-                    where_clause.as_ref(),
-                )?;
-                if victims.is_empty() {
-                    return Ok((StatementResult::Count(0), AppliedOp::None));
-                }
-                let n = victims.len();
-                let report = self.delete_rows(table, victims.clone())?;
-                Ok((
-                    StatementResult::Count(n),
-                    AppliedOp::Delete {
-                        table: table.clone(),
-                        rows: victims,
-                        refreshed: report.refreshed,
-                    },
-                ))
+                let rows = matched_rows(&s.catalog, &s.db, &s.exec, table, where_clause.as_ref())?;
+                let table = table.clone();
+                counted(rows.len(), WalRecord::Delete { table, rows })
             }
             Statement::Update {
                 table,
                 sets,
                 where_clause,
             } => {
-                let (old_rows, new_rows) = sumtab_engine::update_deltas(
-                    &self.session.catalog,
-                    &self.session.db,
-                    &self.session.exec,
+                let (old_rows, new_rows) = update_deltas(
+                    &s.catalog,
+                    &s.db,
+                    &s.exec,
                     table,
                     sets,
                     where_clause.as_ref(),
                 )?;
-                if old_rows.is_empty() {
-                    return Ok((StatementResult::Count(0), AppliedOp::None));
-                }
-                let n = old_rows.len();
-                let report = self.update_rows(table, old_rows.clone(), new_rows.clone())?;
-                Ok((
-                    StatementResult::Count(n),
-                    AppliedOp::Update {
+                counted(
+                    old_rows.len(),
+                    WalRecord::Update {
                         table: table.clone(),
                         old_rows,
                         new_rows,
-                        refreshed: report.refreshed,
                     },
-                ))
+                )
             }
-            _ => {
-                let result = self.session.run_statement(stmt)?;
-                let op = match stmt {
-                    Statement::CreateSummaryTable { name, .. } => {
-                        self.register_ast(name)?;
-                        // Log the catalog's canonical rendering, which is
-                        // what re-registration parses on recovery.
-                        let query_sql = self
-                            .session
-                            .catalog
-                            .summary_table(name)
-                            .map(|d| d.query_sql.clone())
-                            .unwrap_or_default();
-                        AppliedOp::RegisterAst {
-                            name: name.clone(),
-                            query_sql,
-                        }
-                    }
-                    // Catalog DDL can change match outcomes (a new RI
-                    // constraint legalizes extra joins) without moving
-                    // any table epoch — invalidate cached plans.
-                    Statement::CreateTable(ct) => {
-                        self.ast_generation += 1;
-                        match self.session.catalog.table(&ct.name) {
-                            Some(t) => AppliedOp::CreateTable(t.clone()),
-                            None => AppliedOp::None,
-                        }
-                    }
-                    Statement::AddForeignKey {
-                        child_table,
-                        columns,
-                        parent_table,
-                    } => {
-                        self.ast_generation += 1;
-                        AppliedOp::AddForeignKey {
-                            child_table: child_table.clone(),
-                            columns: columns.clone(),
-                            parent_table: parent_table.clone(),
-                        }
-                    }
-                    Statement::Insert { table, rows } => AppliedOp::Insert {
-                        table: table.clone(),
-                        rows: sumtab_engine::session::literal_rows(rows)?,
-                    },
-                    // Handled by the dedicated arms above.
-                    Statement::Delete { .. } | Statement::Update { .. } => AppliedOp::None,
-                    Statement::Query(_) => AppliedOp::None,
-                };
-                Ok((result, op))
-            }
-        }
+        })
     }
 
-    /// Plan a query: build its QGM and rewrite it against the registered
-    /// ASTs, iteratively (Section 7: the result of one rewrite is matched
-    /// against the remaining ASTs). Returns the final graph and the names
-    /// of the ASTs used. See [`SummarySession::plan_detail`] for skip
-    /// diagnostics.
-    pub fn plan(&self, sql: &str) -> Result<(QgmGraph, Vec<String>), SumtabError> {
-        let detail = self.plan_detail(sql)?;
-        Ok((detail.graph, detail.used))
+    /// Apply one change record — the only place the catalog, the data or
+    /// the AST set change (and, [`SummarySession::bump_plan_generation`]
+    /// aside, the plan generation), shared by live statements, the
+    /// programmatic entry points and crash-recovery replay, so the three
+    /// cannot drift. Records are kind-authoritative: an `Insert` applies as
+    /// a plain insert even if an AST now reads the table.
+    ///
+    /// `Err` means nothing was changed. `Ok` means the record took effect;
+    /// for the row-change kinds an AST that could neither be merged nor
+    /// refreshed is reported in [`Applied::failed`] and left stale.
+    pub fn apply(&mut self, rec: &WalRecord) -> Result<Applied, SumtabError> {
+        match rec {
+            // Catalog DDL can change match outcomes (a new RI constraint
+            // legalizes extra joins) without moving any table epoch — hence
+            // the generation bumps.
+            WalRecord::CreateTable(t) => {
+                self.session.catalog.add_table(t.clone())?;
+                self.ast_generation += 1;
+            }
+            WalRecord::AddForeignKey {
+                child_table,
+                columns,
+                parent_table,
+            } => {
+                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+                self.session
+                    .catalog
+                    .add_foreign_key(child_table, &cols, parent_table)?;
+                self.ast_generation += 1;
+            }
+            WalRecord::RegisterAst { name, query_sql } => self.register_ast(name, query_sql)?,
+            WalRecord::DeregisterAst { name } => {
+                self.session.catalog.drop_summary_table(name)?;
+                self.session.db.drop_table(name);
+                self.asts
+                    .retain(|st| !st.ast.name.eq_ignore_ascii_case(name));
+                self.registration_failures
+                    .retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+                self.ast_generation += 1;
+            }
+            WalRecord::Insert { table, rows } => {
+                self.session
+                    .db
+                    .insert(&self.session.catalog, table, rows.clone())?;
+            }
+            WalRecord::Append { table, rows } => return self.apply_delta(table, &[], rows),
+            WalRecord::Delete { table, rows } => return self.apply_delta(table, rows, &[]),
+            WalRecord::Update {
+                table,
+                old_rows,
+                new_rows,
+            } => return self.apply_delta(table, old_rows, new_rows),
+            WalRecord::Refresh { name } => self.refresh_ast(name)?,
+            WalRecord::EpochBump { table } => self.session.db.bump_epoch(table),
+        }
+        Ok(Applied::default())
+    }
+
+    /// Materialize a summary table and register it for rewriting. Every
+    /// fallible step (parse, plan, schema, execution, name clash) precedes
+    /// the first mutation.
+    fn register_ast(&mut self, name: &str, query_sql: &str) -> Result<(), SumtabError> {
+        let Session { catalog, db, exec } = &mut self.session;
+        let ast = RegisteredAst::from_sql(name, query_sql, catalog)
+            .map_err(|e| ast_def_err(query_sql, e))?;
+        let backing = sumtab_engine::backing_table_schema(name, &ast.graph, catalog)?;
+        let st = AstState::new(ast, catalog, db);
+        // The *exec* graph: a counting-delta definition that projects no row
+        // counter materializes with the hidden one as an extra trailing
+        // column, which lives only in backing rows — the catalog schema, and
+        // therefore every query over the summary, never sees it.
+        let rows = sumtab_engine::execute_with(&st.maint.exec_graph, db, exec)
+            .map_err(|e| SumtabError::exec(format!("materialization of `{name}`"), e))?;
+        let def = sumtab_catalog::SummaryTableDef {
+            name: name.to_string(),
+            query_sql: query_sql.to_string(),
+        };
+        catalog.add_summary_table(def, backing)?;
+        db.put_table(name, rows);
+        self.asts.push(st);
+        self.ast_generation += 1;
+        Ok(())
     }
 
     /// Every table a plan for `graph` can depend on, at current epochs: the
@@ -1326,84 +1256,49 @@ impl SummarySession {
     }
 
     /// Append rows to a base table and maintain every affected summary
-    /// table — incrementally when its definition is insert-maintainable
-    /// (see [`maintain`]), by full recomputation otherwise. An incremental
-    /// path that fails degrades to a full refresh instead of leaving the
-    /// summary stale. Maintained ASTs have their epoch snapshots advanced,
-    /// so they remain eligible for rewriting.
-    ///
-    /// Returns the names of the incrementally-maintained ASTs.
+    /// table — the programmatic form of an `Append` record (what an INSERT
+    /// into an AST-read table resolves to). Returns the names of the
+    /// incrementally-maintained ASTs.
     pub fn append(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<String>, SumtabError> {
-        self.append_with_report(table, rows).map(|r| r.maintained)
+        let table = table.to_string();
+        let applied = self.apply(&WalRecord::Append { table, rows })?;
+        applied.into_result().map(|a| a.maintained)
     }
 
-    /// [`SummarySession::append`], additionally reporting which ASTs fell
-    /// off the incremental path onto a full refresh — the durability layer
-    /// needs that distinction because the degradation may be caused by a
-    /// transient fault that will not recur on replay.
-    pub fn append_with_report(
-        &mut self,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<AppendReport, SumtabError> {
-        let table_lc = table.to_ascii_lowercase();
-        // Plan first, against the pre-append state: the registration-time
-        // certificate decides which ASTs can merge the delta. Both
-        // insert-delta and counting-delta certificates support appends.
-        let mut incremental = Vec::new();
-        let mut full = Vec::new();
-        for (i, st) in self.asts.iter().enumerate() {
-            if !graph_reads(&st.ast.graph, table) {
-                continue;
-            }
-            match st.maint.plan_for(&table_lc) {
-                Some(plan) => incremental.push((i, plan)),
-                None => full.push(st.ast.name.clone()),
-            }
-        }
-        // Incremental ASTs merge the delta (computed against the dimension
-        // state visible to the new rows, i.e. post-append for all other
-        // tables). Insert the rows first, then run deltas with the fact
-        // table overridden to just the new rows inside `apply_append`.
-        self.session
-            .db
-            .insert(&self.session.catalog, table, rows.clone())?;
-        let mut report = AppendReport::default();
-        for (i, plan) in incremental {
-            let name = match self.asts.get(i) {
-                Some(st) => st.ast.name.clone(),
-                None => continue,
-            };
-            self.apply_incremental(
-                i,
-                &plan,
-                &name,
-                &table_lc,
-                DeltaApply::Append(&rows),
-                &mut report,
-            )?;
-        }
-        for name in full {
-            self.refresh(&name)?;
-        }
-        Ok(report)
+    /// Refresh one summary table from current base data (full recompute),
+    /// re-snapshotting its base-table epochs and so clearing any staleness.
+    pub fn refresh(&mut self, name: &str) -> Result<(), SumtabError> {
+        let name = name.to_string();
+        self.apply(&WalRecord::Refresh { name }).map(drop)
     }
 
-    /// Remove rows from a base table and maintain every affected summary
-    /// table: counting-delta-certified ASTs subtract signed deltas (dropping
-    /// groups whose hidden or visible row counter reaches zero); everything
-    /// else — including shrink-sensitive `MIN`/`MAX` whose stored extremum
-    /// may have been deleted — recomputes in full.
+    /// Deregister a summary table: drops its definition and backing schema
+    /// from the catalog, its materialized data from the database, and its
+    /// rewrite registration. Errors if no such summary table exists.
+    pub fn deregister(&mut self, name: &str) -> Result<(), SumtabError> {
+        let name = name.to_string();
+        self.apply(&WalRecord::DeregisterAst { name }).map(drop)
+    }
+
+    /// Change a base table's rows — `removed` leave, `inserted` arrive (an
+    /// append removes nothing, a delete inserts nothing, an update does
+    /// both, positionally paired) — and bring every summary that reads the
+    /// table up to date. `removed` must be rows currently present in
+    /// `table`; [`SummarySession::resolve`] and the WAL guarantee this.
     ///
-    /// `victims` must be rows currently present in `table` (as produced by
-    /// [`sumtab_engine::matched_rows`]); the script and WAL-replay paths
-    /// guarantee this.
-    pub fn delete_rows(
+    /// A fresh AST whose registration-time certificate covers the change
+    /// merges the delta: any certificate covers appends, removing rows
+    /// needs counting-delta (dropping groups whose row counter reaches
+    /// zero). Everything else — refresh-only shapes, and ASTs already stale,
+    /// which a merge would wrongly stamp fresh — recomputes in full.
+    fn apply_delta(
         &mut self,
         table: &str,
-        victims: Vec<Row>,
-    ) -> Result<AppendReport, SumtabError> {
+        removed: &[Row],
+        inserted: &[Row],
+    ) -> Result<Applied, SumtabError> {
         let table_lc = table.to_ascii_lowercase();
+        // Classify first, against the pre-change state.
         let mut incremental = Vec::new();
         let mut full = Vec::new();
         for (i, st) in self.asts.iter().enumerate() {
@@ -1411,207 +1306,119 @@ impl SummarySession {
                 continue;
             }
             match st.maint.plan_for(&table_lc) {
-                Some(plan) if plan.strategy == qgm::MaintStrategy::CountingDelta => {
+                Some(plan)
+                    if self.staleness(st).is_none()
+                        && (removed.is_empty()
+                            || plan.strategy == qgm::MaintStrategy::CountingDelta) =>
+                {
                     incremental.push((i, plan))
                 }
                 _ => full.push(st.ast.name.clone()),
             }
         }
-        // Remove the base rows first; the delta aggregation re-installs the
-        // victims over the post-delete database inside `apply_delete`.
-        self.session.db.remove_rows(table, &victims);
-        let mut report = AppendReport::default();
+        // Change the base rows next; the delta aggregations below override
+        // the table with just the changed rows, over the post-change state
+        // of every other table. Validation failures leave nothing changed.
+        let Session { catalog, db, .. } = &mut self.session;
+        if removed.is_empty() {
+            db.insert(catalog, table, inserted.to_vec())?;
+        } else {
+            db.replace_rows(catalog, table, removed, inserted.to_vec())?;
+        }
+        // From here on the record has taken effect: failures are collected,
+        // never returned.
+        let mut applied = Applied::default();
         for (i, plan) in incremental {
-            let name = match self.asts.get(i) {
-                Some(st) => st.ast.name.clone(),
-                None => continue,
-            };
-            self.apply_incremental(
-                i,
-                &plan,
-                &name,
-                &table_lc,
-                DeltaApply::Delete(&victims),
-                &mut report,
-            )?;
-        }
-        for name in full {
-            self.refresh(&name)?;
-        }
-        Ok(report)
-    }
-
-    /// Replace rows in a base table (positionally paired pre/post-images)
-    /// and maintain every affected summary table. Incrementally this is
-    /// delete-then-insert of signed deltas, so it needs the same
-    /// counting-delta certificate as [`SummarySession::delete_rows`].
-    pub fn update_rows(
-        &mut self,
-        table: &str,
-        old_rows: Vec<Row>,
-        new_rows: Vec<Row>,
-    ) -> Result<AppendReport, SumtabError> {
-        let table_lc = table.to_ascii_lowercase();
-        let mut incremental = Vec::new();
-        let mut full = Vec::new();
-        for (i, st) in self.asts.iter().enumerate() {
-            if !graph_reads(&st.ast.graph, table) {
-                continue;
-            }
-            match st.maint.plan_for(&table_lc) {
-                Some(plan) if plan.strategy == qgm::MaintStrategy::CountingDelta => {
-                    incremental.push((i, plan))
-                }
-                _ => full.push(st.ast.name.clone()),
-            }
-        }
-        self.session
-            .db
-            .replace_rows(&self.session.catalog, table, &old_rows, new_rows.clone())?;
-        let mut report = AppendReport::default();
-        for (i, plan) in incremental {
-            let name = match self.asts.get(i) {
-                Some(st) => st.ast.name.clone(),
-                None => continue,
-            };
-            self.apply_incremental(
-                i,
-                &plan,
-                &name,
-                &table_lc,
-                DeltaApply::Update {
-                    old: &old_rows,
-                    new: &new_rows,
+            let name = self.asts[i].ast.name.clone();
+            match self.apply_incremental(i, &plan, &table_lc, removed, inserted) {
+                Ok(()) => applied.maintained.push(name),
+                // Degrade: recompute from scratch rather than leaving the
+                // summary stale (and thus skipped by the planner).
+                Err(cause) => match self.refresh_ast(&name) {
+                    Ok(()) => applied.refreshed.push(name),
+                    Err(e) => {
+                        applied.failed.get_or_insert(SumtabError::Maintain {
+                            ast: name,
+                            detail: format!(
+                                "incremental maintenance failed ({cause}) and the \
+                                 fallback full refresh also failed: {e}"
+                            ),
+                        });
+                    }
                 },
-                &mut report,
-            )?;
+            }
         }
         for name in full {
-            self.refresh(&name)?;
+            if let Err(e) = self.refresh_ast(&name) {
+                applied.failed.get_or_insert(e);
+            }
         }
-        Ok(report)
+        Ok(applied)
     }
 
     /// Run one incremental maintenance step for AST `i` with full gating:
     /// the plan verifier (passes 1–3) in front, the `maintain` failpoint,
-    /// the delta apply itself, and — under runtime checks — the
-    /// recompute-equivalence assertion behind. Every failure mode degrades
-    /// to a full refresh (recorded in `report.refreshed`) rather than
-    /// leaving the summary stale or wrong.
+    /// the delta merge itself (delete the pre-images, then append the
+    /// post-images), and — under runtime checks — the recompute-equivalence
+    /// assertion behind. `Err(cause)` on any of them: the caller degrades to
+    /// a full refresh.
     fn apply_incremental(
         &mut self,
         i: usize,
         plan: &maintain::MaintenancePlan,
-        name: &str,
         table_lc: &str,
-        apply: DeltaApply<'_>,
-        report: &mut AppendReport,
-    ) -> Result<(), SumtabError> {
-        let gate = if sumtab_qgm::verify::runtime_checks_enabled() {
-            match self.asts.get(i) {
-                Some(st) => {
-                    maintain::verify_maintenance(&st.maint.exec_graph, plan, &self.session.catalog)
-                }
-                None => Ok(()),
-            }
-        } else {
-            Ok(())
-        };
-        let outcome: Result<maintain::DeltaOutcome, String> = if let Err(e) = gate {
-            Err(e.to_string())
-        } else if failpoint::triggered("maintain") {
-            Err("injected fault: maintain".to_string())
-        } else {
-            match self.asts.get(i) {
-                None => Err("registered AST set changed during maintenance".to_string()),
-                Some(st) => {
-                    let g = &st.maint.exec_graph;
-                    let db = &mut self.session.db;
-                    let r = match apply {
-                        DeltaApply::Append(rows) => {
-                            maintain::apply_append(g, plan, name, table_lc, rows, db)
-                        }
-                        DeltaApply::Delete(rows) => {
-                            maintain::apply_delete(g, plan, name, table_lc, rows, db)
-                        }
-                        DeltaApply::Update { old, new } => {
-                            match maintain::apply_delete(g, plan, name, table_lc, old, db) {
-                                Ok(maintain::DeltaOutcome::Applied) => {
-                                    maintain::apply_append(g, plan, name, table_lc, new, db)
-                                }
-                                other => other,
-                            }
-                        }
-                    };
-                    r.map_err(|e| e.to_string())
-                }
-            }
-        };
-        match outcome {
-            Ok(maintain::DeltaOutcome::Applied) => {
-                if sumtab_qgm::verify::runtime_checks_enabled() {
-                    let check = match self.asts.get(i) {
-                        Some(st) => maintain::check_equivalence(
-                            &st.maint.exec_graph,
-                            name,
-                            &self.session.db,
-                        ),
-                        None => Ok(()),
-                    };
-                    if let Err(why) = check {
-                        return self.degrade_to_refresh(
-                            name,
-                            &format!("recompute-equivalence check failed: {why}"),
-                            report,
-                        );
-                    }
-                }
-                let epoch = self.session.db.epoch(table_lc);
-                if let Some(st) = self.asts.get_mut(i) {
-                    st.base_epochs.insert(table_lc.to_string(), epoch);
-                }
-                report.maintained.push(name.to_string());
-                Ok(())
-            }
-            Ok(maintain::DeltaOutcome::NeedsRefresh(why)) => {
-                self.degrade_to_refresh(name, &why, report)
-            }
-            Err(cause) => self.degrade_to_refresh(name, &cause, report),
+        removed: &[Row],
+        inserted: &[Row],
+    ) -> Result<(), String> {
+        use maintain::DeltaOutcome;
+        let checks = sumtab_qgm::verify::runtime_checks_enabled();
+        let st = &self.asts[i];
+        let (g, name) = (&st.maint.exec_graph, st.ast.name.as_str());
+        if checks {
+            maintain::verify_maintenance(g, plan, &self.session.catalog)
+                .map_err(|e| e.to_string())?;
         }
-    }
-
-    /// Degrade: recompute from scratch rather than leaving the summary
-    /// stale (and thus skipped by the planner).
-    fn degrade_to_refresh(
-        &mut self,
-        name: &str,
-        cause: &str,
-        report: &mut AppendReport,
-    ) -> Result<(), SumtabError> {
-        self.refresh(name).map_err(|e| SumtabError::Maintain {
-            ast: name.to_string(),
-            detail: format!(
-                "incremental maintenance failed ({cause}) and the \
-                 fallback full refresh also failed: {e}"
-            ),
-        })?;
-        report.refreshed.push(name.to_string());
+        if failpoint::triggered("maintain") {
+            return Err("injected fault: maintain".to_string());
+        }
+        let db = &mut self.session.db;
+        let mut outcome = DeltaOutcome::Applied;
+        if !removed.is_empty() {
+            outcome = maintain::apply_delete(g, plan, name, table_lc, removed, db)
+                .map_err(|e| e.to_string())?;
+        }
+        if outcome == DeltaOutcome::Applied && !inserted.is_empty() {
+            outcome = maintain::apply_append(g, plan, name, table_lc, inserted, db)
+                .map_err(|e| e.to_string())?;
+        }
+        if let DeltaOutcome::NeedsRefresh(why) = outcome {
+            return Err(why);
+        }
+        if checks {
+            maintain::check_equivalence(g, name, db)
+                .map_err(|why| format!("recompute-equivalence check failed: {why}"))?;
+        }
+        let epoch = db.epoch(table_lc);
+        self.asts[i].base_epochs.insert(table_lc.to_string(), epoch);
         Ok(())
     }
 
-    /// Refresh one summary table from current base data (full recompute).
-    /// Runs the *exec* graph, so a hidden-counter AST re-materializes with
-    /// its counter column intact. Re-snapshots the base-table epochs,
-    /// clearing any staleness.
-    pub fn refresh(&mut self, name: &str) -> Result<(), SumtabError> {
+    /// Recompute one summary table from current base data. Runs the *exec*
+    /// graph, so a hidden-counter AST re-materializes with its counter
+    /// column intact. Carries the `refresh` failpoint.
+    fn refresh_ast(&mut self, name: &str) -> Result<(), SumtabError> {
+        let maintain_err = |detail: &str| SumtabError::Maintain {
+            ast: name.to_string(),
+            detail: detail.to_string(),
+        };
         let idx = self
             .asts
             .iter()
             .position(|a| a.ast.name == name)
-            .ok_or_else(|| SumtabError::Maintain {
-                ast: name.to_string(),
-                detail: "unknown summary table".to_string(),
-            })?;
+            .ok_or_else(|| maintain_err("unknown summary table"))?;
+        if failpoint::triggered("refresh") {
+            return Err(maintain_err("injected fault: refresh"));
+        }
         let rows = sumtab_engine::execute_with(
             &self.asts[idx].maint.exec_graph,
             &self.session.db,

@@ -396,6 +396,79 @@ fn double_recovery_is_idempotent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Memory and log agree after every durable call, whichever way it
+/// returns: a DELETE whose base mutation succeeded but whose summary could
+/// be neither merged nor refreshed returns `Err`, yet it is logged — the
+/// summary is left stale (and skipped), not the log left short.
+#[test]
+fn unmaintainable_dml_is_still_logged() {
+    let _serial = serialize();
+    failpoint::disarm_all();
+    let dir = tmp_dir("unmaintained");
+    let mut s = DurableSession::open(&dir).unwrap();
+    s.run_script(SETUP).unwrap();
+    s.run_script("insert into t values (1, 10), (1, 20), (2, 30)")
+        .unwrap();
+    {
+        let _merge = failpoint::armed("maintain");
+        let _refresh = failpoint::armed("refresh");
+        let err = s.run_script("delete from t where k = 1").unwrap_err();
+        assert!(err.to_string().contains("refresh"), "{err}");
+    }
+    let base = |s: &DurableSession| sort_rows(s.session().session.db.rows("t").to_vec());
+    assert_eq!(base(&s), vec![vec![Value::Int(2), Value::Int(30)]]);
+    let d = s.session().plan_detail(PROBE).unwrap();
+    assert!(d.used.is_empty(), "the unmaintained AST must be skipped");
+    assert!(d.skipped[0].reason.contains("stale"), "{d:?}");
+
+    // The next DML must not merge a delta into the stale summary and stamp
+    // it fresh: it recomputes it, which also heals it.
+    s.run_script("insert into t values (3, 5)").unwrap();
+    let with = s.query(PROBE).unwrap();
+    assert_eq!(with.used_ast.as_deref(), Some("st"));
+    let expected = sort_rows(s.query_no_rewrite(PROBE).unwrap().rows);
+    assert_eq!(sort_rows(with.rows), expected);
+
+    let live = base(&s);
+    drop(s);
+    let mut s = DurableSession::open(&dir).unwrap();
+    assert_eq!(base(&s), live, "the log holds the delete");
+    let with = s.query(PROBE).unwrap();
+    assert_eq!(with.used_ast.as_deref(), Some("st"));
+    assert_eq!(sort_rows(with.rows), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The programmatic and the script entry point are one path: the same rows
+/// through either leave byte-identical logs.
+#[test]
+fn append_and_insert_script_write_identical_logs() {
+    let _serial = serialize();
+    failpoint::disarm_all();
+    let wal_after = |tag: &str, load: &dyn Fn(&mut DurableSession)| {
+        let dir = tmp_dir(tag);
+        let mut s = DurableSession::open(&dir).unwrap();
+        s.run_script(SETUP).unwrap();
+        load(&mut s);
+        drop(s);
+        let bytes = std::fs::read(dir.join(sumtab::durable::WAL_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    };
+    let programmatic = wal_after("entry-append", &|s| {
+        let rows = vec![
+            vec![Value::Int(1), Value::Int(10)],
+            vec![Value::Int(2), Value::Int(30)],
+        ];
+        assert_eq!(s.append("t", rows).unwrap(), vec!["st".to_string()]);
+    });
+    let script = wal_after("entry-script", &|s| {
+        s.run_script("insert into t values (1, 10), (2, 30)")
+            .unwrap();
+    });
+    assert_eq!(programmatic, script);
+}
+
 /// CI kill/restart entry point: the `crash-recovery` job runs exactly this
 /// test with `SUMTAB_FAILPOINTS` arming one IO fail point for the whole
 /// process, so the *first* durable write fails. With nothing armed it

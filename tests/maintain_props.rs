@@ -72,6 +72,9 @@ const SETUP: &str = "
       (select d, sum(w) as sw, count(*) as c from f group by d);
     create summary table s_joined as
       (select grp, sum(v) as sv, count(*) as c from f, dim where f.d = dim.d group by grp);
+    create summary table s_nested as
+      (select d, c, count(*) as n from
+         (select d, v, count(*) as c from f group by d, v) as m group by d, c);
 ";
 
 const PROBES: &[&str] = &[
@@ -79,9 +82,22 @@ const PROBES: &[&str] = &[
     "select d, min(v) as mn, max(v) as mx from f group by d",
     "select d, sum(w) as sw from f group by d",
     "select grp, sum(v) as sv from f, dim where f.d = dim.d group by grp",
+    NESTED_PROBE,
 ];
 
-const SUMMARIES: &[&str] = &["s_counting", "s_hidden", "s_extrema", "s_nullable", "s_joined"];
+/// The AST8 shape (a histogram over a histogram): not delta-maintainable,
+/// so `s_nested` must refresh on every mutation.
+const NESTED_PROBE: &str = "select d, c, count(*) as n from \
+     (select d, v, count(*) as c from f group by d, v) as m group by d, c";
+
+const SUMMARIES: &[&str] = &[
+    "s_counting",
+    "s_hidden",
+    "s_extrema",
+    "s_nullable",
+    "s_joined",
+    "s_nested",
+];
 
 /// Generate one random mutation statement. Ids are dense, so delete/update
 /// targets frequently hit live rows (and sometimes miss — the 0-row paths
@@ -164,6 +180,13 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                 "seed {seed:#x}: `{name}` unreadable"
             );
         }
+        // The nested probe compared the summary itself, not a base plan.
+        let nested = s.query(NESTED_PROBE).unwrap();
+        assert_eq!(
+            nested.used_ast.as_deref(),
+            Some("s_nested"),
+            "seed {seed:#x}"
+        );
     }
 }
 
@@ -334,6 +357,52 @@ fn kill_no_aggregation_root() {
         "trans",
         ObstructionKind::NoAggregationRoot,
     );
+}
+
+/// Nested aggregation (AST8, a histogram over a histogram) has the
+/// `SELECT ← GROUP BY` root but is not delta-maintainable: the delta rows'
+/// inner groups are not the inner groups the mutation changed. The
+/// certificate itself must say so, naming the *inner* GROUP BY.
+#[test]
+fn kill_nested_aggregation() {
+    let (strategy, obs) = analyze(sumtab::datagen::workloads::AST8, "trans");
+    assert_eq!(strategy, MaintStrategy::RefreshOnly, "{obs:?}");
+    let (_, path) = obs
+        .iter()
+        .find(|(k, _)| *k == ObstructionKind::NoAggregationRoot)
+        .unwrap_or_else(|| panic!("expected a nested-aggregation obstruction, got {obs:?}"));
+    // `root/<outer group-by>/<inner select>/<inner group-by>`: the root's own
+    // GROUP BY would sit one level below the root, not three.
+    assert!(path.ends_with("(group-by)"), "{path}");
+    assert_eq!(path.split('/').count(), 4, "{path}");
+}
+
+/// The same certificates as a session registers them: the paper's
+/// single-block aggregate ASTs keep counting-delta, AST8 does not.
+#[test]
+fn registered_paper_asts_carry_the_expected_certificates() {
+    use sumtab::datagen::workloads::{AST1, AST6, AST7, AST8};
+    let mut s = SummarySession::with_data(Catalog::credit_card_sample(), sumtab::Database::new());
+    let by_pgroup = "select fpgid, year(date) as year, count(*) as cnt, sum(qty) as qty \
+         from trans group by fpgid, year(date)";
+    for (name, sql, expected) in [
+        ("ast1", AST1, MaintStrategy::CountingDelta),
+        ("ast6", AST6, MaintStrategy::CountingDelta),
+        ("ast7", AST7, MaintStrategy::CountingDelta),
+        ("ast_pg", by_pgroup, MaintStrategy::CountingDelta),
+        ("ast8", AST8, MaintStrategy::RefreshOnly),
+    ] {
+        s.run_script(&format!("create summary table {name} as ({sql})"))
+            .unwrap();
+        let m = s.maintainability(name).unwrap();
+        assert_eq!(m.strategy_for("trans"), expected, "{name}");
+    }
+    let kinds: Vec<ObstructionKind> = s.maintainability("ast8").unwrap().reports["trans"]
+        .obstructions
+        .iter()
+        .map(|o| o.reason)
+        .collect();
+    assert_eq!(kinds, vec![ObstructionKind::NoAggregationRoot]);
 }
 
 #[test]
