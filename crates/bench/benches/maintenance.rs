@@ -4,14 +4,19 @@
 //!
 //! The counting-delta path aggregates only the delta rows and patches the
 //! affected groups in place; the refresh path re-aggregates the whole base
-//! table. The sweep shows the incremental path staying (near-)flat while
+//! table. The sweep shows the incremental path staying near-flat while
 //! refresh scales with base cardinality — the argument for the
 //! maintainability analyzer doing its static work at registration time.
+//! What still grows with the base table in an incremental statement is two
+//! typed single-column passes: the WHERE scan and the victim probe.
 //!
 //! Emits `BENCH_maintenance.json` at the repository root and aborts loudly
-//! if incremental maintenance fails to beat full refresh at the largest
-//! base size, or if the maintained summary ever diverges from a
-//! recomputation. Plain `harness = false` benchmark; accepts `--quick`.
+//! if full refresh is not at least [`MIN_REFRESH_OVER_INCREMENTAL`] times
+//! slower than incremental maintenance at the largest base size, if (full
+//! mode) an incremental DELETE at 32,768 rows costs more than
+//! [`MAX_DELETE_GROWTH`] times one at 1,024 rows, or if the maintained
+//! summary ever diverges from a recomputation. Plain `harness = false`
+//! benchmark; accepts `--quick`.
 
 // Bench fixtures run over fixed inputs; a failed setup step should abort
 // the run loudly, so panicking unwraps are intended here.
@@ -22,6 +27,17 @@ use sumtab::{failpoint, sort_rows, SummarySession, Value};
 use sumtab_bench::median_time;
 
 const GROUPS: u64 = 16;
+
+/// Floor on `refresh_over_incremental` at the largest size of the sweep
+/// (1.40 when every DELETE rebuilt the columnar copy and hashed the table).
+const MIN_REFRESH_OVER_INCREMENTAL: f64 = 3.0;
+
+/// Ceiling on `delete_incremental_ns` at 32,768 rows over the same at 1,024
+/// (full mode only). 32 would be a statement that is one linear pass and
+/// nothing else; it was 37 with the O(table) rebuild and hash. The WHERE
+/// scan, ~3.5 ns a row, is most of an incremental DELETE at 32,768 rows and
+/// puts the measured ratio near 11.
+const MAX_DELETE_GROWTH: f64 = 16.0;
 
 /// A session with `n` fact rows and one counting-delta summary.
 fn build(n: usize) -> SummarySession {
@@ -61,13 +77,18 @@ fn ground_truth(s: &mut SummarySession) -> Vec<Vec<Value>> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let reps = if quick { 3 } else { 7 };
-    let sizes: &[usize] = if quick { &[512, 2048] } else { &[1024, 8192, 32768] };
+    let sizes: &[usize] = if quick {
+        &[512, 2048]
+    } else {
+        &[1024, 8192, 32768]
+    };
     println!(
         "{:>8} {:>14} {:>14} {:>14} {:>14} {:>9}",
         "rows", "del_incr", "del_refresh", "upd_incr", "upd_refresh", "ratio"
     );
     let mut records = Vec::new();
     let mut last_ratio = 0.0f64;
+    let mut delete_costs = Vec::new();
     for &n in sizes {
         // Incremental DELETE: one row out of `n`, counting-delta merge.
         // Each rep deletes a distinct id so the statement always hits.
@@ -117,6 +138,7 @@ fn main() {
         let ratio = (delete_refresh.as_secs_f64() + update_refresh.as_secs_f64())
             / (delete_incr.as_secs_f64() + update_incr.as_secs_f64()).max(f64::EPSILON);
         last_ratio = ratio;
+        delete_costs.push(delete_incr.as_secs_f64());
         println!(
             "{:>8} {:>12.3?} {:>12.3?} {:>12.3?} {:>12.3?} {:>8.1}x",
             n, delete_incr, delete_refresh, update_incr, update_refresh, ratio
@@ -139,8 +161,19 @@ fn main() {
     std::fs::write(&out, json).unwrap();
     println!("wrote {}", out.display());
     assert!(
-        last_ratio > 1.0,
-        "incremental maintenance must beat full refresh at {} rows, got {last_ratio:.2}x",
+        last_ratio >= MIN_REFRESH_OVER_INCREMENTAL,
+        "full refresh must cost at least {MIN_REFRESH_OVER_INCREMENTAL}x incremental \
+         maintenance at {} rows, got {last_ratio:.2}x",
         sizes[sizes.len() - 1]
     );
+    if !quick {
+        let growth = delete_costs[delete_costs.len() - 1] / delete_costs[0];
+        assert!(
+            growth <= MAX_DELETE_GROWTH,
+            "an incremental DELETE grew {growth:.1}x from {} to {} rows, more than \
+             {MAX_DELETE_GROWTH}x",
+            sizes[0],
+            sizes[sizes.len() - 1]
+        );
+    }
 }

@@ -1284,7 +1284,9 @@ impl SummarySession {
     /// append removes nothing, a delete inserts nothing, an update does
     /// both, positionally paired) — and bring every summary that reads the
     /// table up to date. `removed` must be rows currently present in
-    /// `table`; [`SummarySession::resolve`] and the WAL guarantee this.
+    /// `table`, as [`SummarySession::resolve`] and the WAL produce them; a
+    /// record whose pre-images are not all there (one applied twice, a
+    /// stale `old_rows`) is refused with nothing changed.
     ///
     /// A fresh AST whose registration-time certificate covers the change
     /// merges the delta: any certificate covers appends, removing rows
@@ -1318,7 +1320,10 @@ impl SummarySession {
         }
         // Change the base rows next; the delta aggregations below override
         // the table with just the changed rows, over the post-change state
-        // of every other table. Validation failures leave nothing changed.
+        // of every other table. The database locates every removed row
+        // before it moves one, so a validation failure or a missing
+        // pre-image returns here with nothing changed — no AST may be
+        // handed a delta the base table did not take.
         let Session { catalog, db, .. } = &mut self.session;
         if removed.is_empty() {
             db.insert(catalog, table, inserted.to_vec())?;

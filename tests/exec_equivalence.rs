@@ -190,6 +190,65 @@ fn assert_equivalent(sql: &str, catalog: &Catalog, db: &Database) {
     }
 }
 
+/// NULL join keys and DISTINCT aggregates over the nullable tables.
+const NULL_AND_DISTINCT_QUERIES: &[&str] = &[
+    // NULL keys on both sides of a hash join.
+    "select nl.k, nl.v from nl, nr where nl.k = nr.k",
+    // NULL keys grouped (NULLs form their own group).
+    "select k, count(*) as c, sum(v) as sv from nl group by k",
+    // DISTINCT aggregates over doubles: iteration order of the distinct
+    // set must not leak into the float fold.
+    "select count(distinct v) as n, sum(distinct v) as s from nl",
+    "select k, sum(distinct v) as s, min(v) as lo, max(v) as hi from nl group by k",
+    // Join + aggregate + DISTINCT combined.
+    "select nl.k, count(distinct nl.v) as n from nl, nr where nl.k = nr.k group by nl.k",
+    // Grouping sets over nullable data: NULL padding vs NULL keys.
+    "select k, count(*) as c from nl group by grouping sets ((k), ())",
+    // Top-k selection with duplicate sort keys (ties broken by input
+    // order in both paths).
+    "select k, v from nl order by v desc limit 17",
+    "select k, v from nl order by k, v limit 1",
+    // Scalar subquery + filter.
+    "select k, v, (select count(*) from nr) as t from nl where v > 0",
+];
+
+/// Star-schema joins and multi-way aggregation.
+const STAR_JOIN_QUERIES: &[&str] = &[
+    "select tid, qty * price * (1 - disc) as amt from trans where qty >= 2",
+    "select country, sum(qty * price) as rev from trans, loc \
+     where flid = lid group by country",
+    "select pgname, year(date) as y, count(*) as cnt, sum(qty) as q \
+     from trans, pgroup where fpgid = pgid group by pgname, year(date)",
+    "select country, pgname, sum(qty) as q from trans, loc, pgroup \
+     where flid = lid and fpgid = pgid group by country, pgname",
+];
+
+/// Skewed, high-cardinality, empty and NULL-dense join/aggregate shapes.
+const ADVERSARIAL_QUERIES: &[&str] = &[
+    // Heavily skewed join: the hot key's match list lands in one
+    // partition, and its per-key order must still be build scan order.
+    "select hot.uniq, hotdim.name from hot, hotdim where hot.k = hotdim.k",
+    "select hotdim.name, sum(hot.v) as s, count(*) as c \
+     from hot, hotdim where hot.k = hotdim.k group by hotdim.name",
+    // Three-way fused join + group-by over both dimensions.
+    "select hotdim.name, dim2.w, sum(hot.v) as s from hot, hotdim, dim2 \
+     where hot.k = hotdim.k and hot.j = dim2.j group by hotdim.name, dim2.w",
+    // High-cardinality group keys: every row is its own group.
+    "select uniq, sum(v) as s, min(v) as lo from hot group by uniq",
+    "select uniq, k, count(*) as c from hot group by uniq, k",
+    // Empty build side (both join orders) and a grand total over an
+    // empty join result.
+    "select hot.uniq, emptyt.v from hot, emptyt where hot.k = emptyt.k",
+    "select emptyt.v, hot.uniq from emptyt, hot where emptyt.k = hot.k",
+    "select count(*) as c, sum(hot.v) as s from hot, emptyt where hot.k = emptyt.k",
+    // NULL-dense join columns: 80% of probe-side keys are NULL.
+    "select nullj.v, hotdim.name from nullj, hotdim where nullj.k = hotdim.k",
+    "select nullj.k, min(nullj.v) as lo, max(nullj.v) as hi \
+     from nullj, hotdim where nullj.k = hotdim.k group by nullj.k",
+    // NULL keys on the build side too (nl has every-third-key NULL).
+    "select hot.uniq from hot, nl where hot.k = nl.k and hot.uniq < 50",
+];
+
 /// Every figure query of the paper workload, at every configuration.
 #[test]
 fn paper_workload_queries_match_serial() {
@@ -213,27 +272,7 @@ fn paper_workload_ast_definitions_match_serial() {
 #[test]
 fn null_keys_and_distinct_aggregates_match_serial() {
     let (catalog, db) = fixture();
-    let queries = [
-        // NULL keys on both sides of a hash join.
-        "select nl.k, nl.v from nl, nr where nl.k = nr.k",
-        // NULL keys grouped (NULLs form their own group).
-        "select k, count(*) as c, sum(v) as sv from nl group by k",
-        // DISTINCT aggregates over doubles: iteration order of the distinct
-        // set must not leak into the float fold.
-        "select count(distinct v) as n, sum(distinct v) as s from nl",
-        "select k, sum(distinct v) as s, min(v) as lo, max(v) as hi from nl group by k",
-        // Join + aggregate + DISTINCT combined.
-        "select nl.k, count(distinct nl.v) as n from nl, nr where nl.k = nr.k group by nl.k",
-        // Grouping sets over nullable data: NULL padding vs NULL keys.
-        "select k, count(*) as c from nl group by grouping sets ((k), ())",
-        // Top-k selection with duplicate sort keys (ties broken by input
-        // order in both paths).
-        "select k, v from nl order by v desc limit 17",
-        "select k, v from nl order by k, v limit 1",
-        // Scalar subquery + filter.
-        "select k, v, (select count(*) from nr) as t from nl where v > 0",
-    ];
-    for sql in queries {
+    for sql in NULL_AND_DISTINCT_QUERIES {
         assert_equivalent(sql, &catalog, &db);
     }
 }
@@ -243,16 +282,7 @@ fn null_keys_and_distinct_aggregates_match_serial() {
 #[test]
 fn star_schema_joins_match_serial() {
     let (catalog, db) = fixture();
-    let queries = [
-        "select tid, qty * price * (1 - disc) as amt from trans where qty >= 2",
-        "select country, sum(qty * price) as rev from trans, loc \
-         where flid = lid group by country",
-        "select pgname, year(date) as y, count(*) as cnt, sum(qty) as q \
-         from trans, pgroup where fpgid = pgid group by pgname, year(date)",
-        "select country, pgname, sum(qty) as q from trans, loc, pgroup \
-         where flid = lid and fpgid = pgid group by country, pgname",
-    ];
-    for sql in queries {
+    for sql in STAR_JOIN_QUERIES {
         assert_equivalent(sql, &catalog, &db);
     }
 }
@@ -264,31 +294,75 @@ fn star_schema_joins_match_serial() {
 #[test]
 fn adversarial_join_and_aggregate_shapes_match_serial() {
     let (catalog, db) = fixture();
-    let queries = [
-        // Heavily skewed join: the hot key's match list lands in one
-        // partition, and its per-key order must still be build scan order.
-        "select hot.uniq, hotdim.name from hot, hotdim where hot.k = hotdim.k",
-        "select hotdim.name, sum(hot.v) as s, count(*) as c \
-         from hot, hotdim where hot.k = hotdim.k group by hotdim.name",
-        // Three-way fused join + group-by over both dimensions.
-        "select hotdim.name, dim2.w, sum(hot.v) as s from hot, hotdim, dim2 \
-         where hot.k = hotdim.k and hot.j = dim2.j group by hotdim.name, dim2.w",
-        // High-cardinality group keys: every row is its own group.
-        "select uniq, sum(v) as s, min(v) as lo from hot group by uniq",
-        "select uniq, k, count(*) as c from hot group by uniq, k",
-        // Empty build side (both join orders) and a grand total over an
-        // empty join result.
-        "select hot.uniq, emptyt.v from hot, emptyt where hot.k = emptyt.k",
-        "select emptyt.v, hot.uniq from emptyt, hot where emptyt.k = hot.k",
-        "select count(*) as c, sum(hot.v) as s from hot, emptyt where hot.k = emptyt.k",
-        // NULL-dense join columns: 80% of probe-side keys are NULL.
-        "select nullj.v, hotdim.name from nullj, hotdim where nullj.k = hotdim.k",
-        "select nullj.k, min(nullj.v) as lo, max(nullj.v) as hi \
-         from nullj, hotdim where nullj.k = hotdim.k group by nullj.k",
-        // NULL keys on the build side too (nl has every-third-key NULL).
-        "select hot.uniq from hot, nl where hot.k = nl.k and hot.uniq < 50",
-    ];
-    for sql in queries {
+    for sql in ADVERSARIAL_QUERIES {
         assert_equivalent(sql, &catalog, &db);
+    }
+}
+
+/// After DML the columnar executor reads views that were *maintained in
+/// place* (never rebuilt), while the serial executor reads the row store:
+/// the two must still agree on the whole query pool, which they only can if
+/// every view stayed row-for-row in step with its rows.
+#[test]
+fn executors_agree_after_mixed_dml_script() {
+    let (catalog, db) = fixture();
+    let mut s = sumtab::SummarySession::with_data(catalog, db);
+    // Build every view up front, so each statement below maintains one.
+    let tables = ["trans", "nl", "hot", "hotdim"];
+    let built: Vec<_> = tables
+        .iter()
+        .map(|t| std::sync::Arc::as_ptr(&s.session.db.columnar(t)))
+        .collect();
+    let mut statements = 0;
+    for i in 0..12i64 {
+        let script = format!(
+            "insert into trans values
+               ({new_tid}, 1, 1, 1, date '1996-0{m}-1{d}', {i}, 9.5, 0.1),
+               ({new_tid2}, 2, 2, 2, date '1997-0{m}-2{d}', 1, 0.25, 0.0);
+             delete from trans where tid = {gone};
+             update trans set qty = qty + 1, disc = 0.5 where tid = {bumped};
+             insert into nl values (null, {i}.25), ({k}, null);
+             update nl set v = null where k = {k} and v > 0;
+             delete from nl where k = {k2} and v < 0;
+             update hotdim set name = 'renamed{i}' where k = {i};
+             delete from hot where uniq = {hot_gone};
+             update hot set k = 7, v = v + 1 where uniq = {hot_bumped};",
+            new_tid = 1_000_000 + i,
+            new_tid2 = 2_000_000 + i,
+            m = 1 + i % 9,
+            d = i % 9,
+            gone = 3 + i * 17,
+            bumped = 4 + i * 17,
+            k = 1 + i % 8,
+            k2 = 8 - i % 8,
+            hot_gone = i * 301,
+            hot_bumped = i * 301 + 1,
+        );
+        statements += script.matches(';').count();
+        s.run_script(&script)
+            .unwrap_or_else(|e| panic!("{e}: {script}"));
+    }
+    assert!(statements >= 50, "{statements} statements");
+    let db = &s.session.db;
+    // Every point DELETE hit its row.
+    assert_eq!(db.row_count("trans"), 2000 + 24 - 12);
+    assert_eq!(db.row_count("hot"), 4000 - 12);
+    for (t, before) in tables.iter().zip(built) {
+        let now = std::sync::Arc::as_ptr(&db.columnar(t));
+        assert_eq!(now, before, "the view of `{t}` was rebuilt, not maintained");
+    }
+    let catalog = &s.session.catalog;
+    for case in FIGURES {
+        assert_equivalent(case.query, catalog, db);
+        assert_equivalent(case.ast, catalog, db);
+    }
+    for sql in [
+        NULL_AND_DISTINCT_QUERIES,
+        STAR_JOIN_QUERIES,
+        ADVERSARIAL_QUERIES,
+    ]
+    .concat()
+    {
+        assert_equivalent(sql, catalog, db);
     }
 }

@@ -20,9 +20,7 @@
 //! Seeds are deterministic but overridable via `SUMTAB_MAINTAIN_SEED`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use sumtab::qgm::{
-    analyze_maintainability, build_query, MaintStrategy, ObstructionKind,
-};
+use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
 use sumtab::{sort_rows, Catalog, Row, SummarySession};
 use sumtab_parser::parse_query;
 
@@ -210,7 +208,67 @@ fn emptied_groups_vanish_from_summaries() {
     assert_eq!(format!("{:?}", r[0]), "Count(2)");
     let q = s.query("select k, sum(v) as sv from t group by k").unwrap();
     assert_eq!(q.used_ast.as_deref(), Some("st"), "summary must stay fresh");
-    assert_eq!(q.rows, vec![vec![sumtab::Value::Int(2), sumtab::Value::Int(30)]]);
+    assert_eq!(
+        q.rows,
+        vec![vec![sumtab::Value::Int(2), sumtab::Value::Int(30)]]
+    );
+}
+
+/// A change record whose pre-images are not in the table must be refused
+/// whole: applying a `Delete` twice (or an `Update` with stale `old_rows`)
+/// used to leave the base table alone while every counting-delta summary
+/// subtracted the phantom rows anyway.
+#[test]
+fn a_record_with_missing_pre_images_changes_nothing() {
+    use sumtab::engine::DbError;
+    use sumtab::persist::WalRecord;
+    use sumtab::{SumtabError, Value};
+    let mut s = SummarySession::new();
+    s.run_script(SETUP).unwrap();
+    s.run_script(
+        "insert into f values (1, 0, 10, 1), (2, 0, 20, null), (3, 1, 30, 3), (4, 1, 30, 4);",
+    )
+    .unwrap();
+    let victim = vec![Value::Int(2), Value::Int(0), Value::Int(20), Value::Null];
+    let delete = WalRecord::Delete {
+        table: "f".into(),
+        rows: vec![victim.clone()],
+    };
+    s.apply(&delete).unwrap().into_result().unwrap();
+
+    type State = (Vec<Row>, Vec<Vec<Row>>, Vec<String>);
+    let state = |s: &SummarySession| -> State {
+        let db = &s.session.db;
+        (
+            db.rows("f").to_vec(),
+            SUMMARIES.iter().map(|n| db.rows(n).to_vec()).collect(),
+            s.ast_states()
+                .iter()
+                .map(|a| format!("{}@{:?}", a.ast.name, a.base_epochs))
+                .collect(),
+        )
+    };
+    let before = state(&s);
+    let not_found = |r: Result<_, SumtabError>| match r.map(drop) {
+        Err(SumtabError::Db(DbError::RowsNotFound { table, missing })) => (table, missing),
+        other => panic!("expected RowsNotFound, got {other:?}"),
+    };
+    // The same record again: its row is gone.
+    assert_eq!(not_found(s.apply(&delete)), ("f".to_string(), 1));
+    assert_eq!(state(&s), before, "a refused delete changed something");
+    // An update pairing one live pre-image with the stale one.
+    let live = vec![Value::Int(1), Value::Int(0), Value::Int(10), Value::Int(1)];
+    let update = WalRecord::Update {
+        table: "f".into(),
+        old_rows: vec![live.clone(), victim],
+        new_rows: vec![live.clone(), live],
+    };
+    assert_eq!(not_found(s.apply(&update)), ("f".to_string(), 1));
+    assert_eq!(state(&s), before, "a refused update changed something");
+    // Still maintained, and still exact.
+    for probe in PROBES {
+        assert_eq!(answer(&mut s, probe), recompute(&mut s, probe), "{probe}");
+    }
 }
 
 /// The hidden counter column lives in backing rows only — queries over the
@@ -450,7 +508,8 @@ fn downgrade_nullable_sum_to_insert_delta() {
     // reproduce SUM=NULL from stored - delta: the strategy must downgrade
     // to insert-delta with a typed explanation.
     let mut s = SummarySession::new();
-    s.run_script("create table n (k int not null, v int);").unwrap();
+    s.run_script("create table n (k int not null, v int);")
+        .unwrap();
     let cat = &s.session.catalog;
     let g = build_query(
         &parse_query("select k, sum(v) as sv, count(*) as c from n group by k").unwrap(),
@@ -497,10 +556,7 @@ fn explain_surfaces_strategy_and_obstructions() {
     let plan = s
         .explain("select k, sum(v) as sv from t group by k")
         .unwrap();
-    assert!(
-        plan.contains("-- maintenance st: t=insert-delta"),
-        "{plan}"
-    );
+    assert!(plan.contains("-- maintenance st: t=insert-delta"), "{plan}");
     assert!(
         plan.contains("nullable-sum-under-delete"),
         "obstruction must be surfaced: {plan}"
