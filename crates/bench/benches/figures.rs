@@ -19,6 +19,11 @@
 use sumtab::cost::{self, RoutePolicy};
 use sumtab_bench::{median_time, prepare};
 
+/// Floor on every figure's routed ratio: the router must never ship a plan
+/// slower than the base plan. Emitted with each case so CI re-checks it
+/// from the JSON.
+const MIN_ROUTED_RATIO: f64 = 1.0;
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let fx = prepare(if quick { 10_000 } else { 50_000 });
@@ -59,7 +64,7 @@ fn main() {
         let rewrite_ratio = orig.as_secs_f64() / rw.as_secs_f64().max(f64::EPSILON);
         let ratio = orig.as_secs_f64() / chosen.as_secs_f64().max(f64::EPSILON);
         assert!(
-            ratio >= 1.0,
+            ratio >= MIN_ROUTED_RATIO,
             "{}: routed plan slower than base ({ratio:.2}x) — the router shipped a losing plan",
             case.case.id
         );
@@ -70,7 +75,8 @@ fn main() {
         records.push(format!(
             "{{\"figure\": \"{}\", \"original_ns\": {}, \"rewritten_ns\": {}, \
              \"routing\": \"{routing}\", \"ratio\": {ratio:.2}, \
-             \"rewrite_ratio\": {rewrite_ratio:.2}, \"ast_rows\": {}}}",
+             \"floor\": {MIN_ROUTED_RATIO:.1}, \"rewrite_ratio\": {rewrite_ratio:.2}, \
+             \"ast_rows\": {}}}",
             case.case.id,
             orig.as_nanos(),
             rw.as_nanos(),

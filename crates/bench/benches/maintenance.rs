@@ -154,7 +154,9 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"maintenance\",\n  \"quick\": {quick},\n  \"sweeps\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"maintenance\",\n  \"quick\": {quick},\n  \
+         \"min_refresh_over_incremental\": {MIN_REFRESH_OVER_INCREMENTAL:.1},\n  \
+         \"max_delete_growth\": {MAX_DELETE_GROWTH:.1},\n  \"sweeps\": [\n    {}\n  ]\n}}\n",
         records.join(",\n    ")
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_maintenance.json");

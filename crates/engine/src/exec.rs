@@ -1,19 +1,25 @@
 //! The QGM executor.
 //!
-//! Two execution paths share one plan shape (left-deep hash joins, per-cuboid
-//! hash aggregation):
+//! One shipping executor and one reference share one plan shape (left-deep
+//! hash joins, per-cuboid hash aggregation):
 //!
-//! * [`execute`] / [`execute_with`] — the **morsel-parallel columnar** path.
-//!   Base-table scans read [`crate::db::ColumnarTable`] columns in place
-//!   (zero-copy, dictionary-encoded strings), every scalar expression is
-//!   compiled once per box into a flat [`Program`] of postfix ops, and
-//!   scan/filter/build/probe/project work is split into fixed-size morsels
-//!   fanned across a `std::thread::scope` pool. Results are byte-identical
-//!   to the serial path for any pool/morsel size: morsel outputs are merged
-//!   in morsel order (slot-merge discipline), GROUP BY partitions whole
-//!   groups by key hash so each group's accumulator folds its rows in global
-//!   row order, and group output follows first-occurrence order in both
-//!   paths.
+//! * [`execute`] / [`execute_with`] — the **morsel-parallel columnar**
+//!   executor. Base-table scans read [`crate::db::ColumnarTable`] columns in
+//!   place (zero-copy, dictionary-encoded strings) and every scalar
+//!   expression is compiled once per box into a flat [`Program`] of postfix
+//!   ops. A SELECT box has exactly one pipeline: it is planned into join
+//!   levels (`plan_fused`) — the driver, then one level per further
+//!   quantifier, entered through a partitioned hash table on its equi-join
+//!   conjuncts or, when it has none, through all of its filtered rows — and
+//!   driver morsels, fanned across a `std::thread::scope` pool, stream
+//!   depth-first through the levels straight into output rows
+//!   (`exec_fused`); no intermediate tuple is materialized. A single scan
+//!   is the one-level case, a cross product a level with no key. Results
+//!   are byte-identical to the reference for any pool/morsel size: morsel
+//!   outputs are merged in morsel order (slot-merge discipline), GROUP BY
+//!   partitions whole groups by key hash so each group's accumulator folds
+//!   its rows in global row order, and group output follows
+//!   first-occurrence order in both executors.
 //! * [`execute_serial`] — the row-at-a-time interpreter, kept as the
 //!   differential-testing oracle and bench baseline.
 //!
@@ -551,13 +557,6 @@ impl<'c> Source<'c> {
             Source::Rows(r) => Cell::of(&r[row][col]),
         }
     }
-
-    fn append_row(&self, row: usize, out: &mut Row) {
-        match self {
-            Source::Col(t) => t.append_row(row, out),
-            Source::Rows(r) => out.extend_from_slice(&r[row]),
-        }
-    }
 }
 
 /// Owns the storage a [`Source`] borrows from.
@@ -858,6 +857,17 @@ impl JoinTable {
     fn get(&self, key: &[Value]) -> Option<&Vec<u32>> {
         self.parts[(hash_key(key) & self.mask) as usize].get(key)
     }
+
+    /// The table of a level with no equi-join conjunct (a cross product,
+    /// or a join whose only link is a non-equi residual): the level's probe
+    /// key is empty, and the empty key matches every filtered row, in scan
+    /// order.
+    fn cross(filtered: Vec<u32>) -> JoinTable {
+        JoinTable {
+            mask: 0,
+            parts: vec![std::iter::once((Vec::new(), filtered)).collect()],
+        }
+    }
 }
 
 /// Build a [`JoinTable`] over the filtered rows of `src`, keyed by the
@@ -919,15 +929,17 @@ fn build_join_table(
 }
 
 // ---------------------------------------------------------------------------
-// Fused multi-level join pipeline
+// The SELECT-box pipeline: fused left-deep join levels
 // ---------------------------------------------------------------------------
 
 /// One level of a fused left-deep join: the driver level (index 0) has no
-/// probe/build programs; every deeper level is entered through a hash
-/// lookup. `probe` programs are compiled against global tuple slots of the
-/// levels bound so far, `build` programs against the child's own ordinals,
-/// `resid` holds the predicates that become fully bound at this level
-/// (global slots).
+/// probe/build programs; every deeper level is entered through a lookup in
+/// its [`JoinTable`]. `singles` filter the child's own rows (child
+/// ordinals), `probe` programs are compiled against global tuple slots of
+/// the levels bound so far, `build` programs against the child's own
+/// ordinals (both empty for a level with no equi-join conjunct), `resid`
+/// holds the predicates that become fully bound at this level (global
+/// slots).
 struct FusedLevel {
     child_box: BoxId,
     child_width: usize,
@@ -937,21 +949,20 @@ struct FusedLevel {
     resid: Vec<Program>,
 }
 
-/// A fully planned fused join pipeline: per-level programs plus the global
-/// slot layout (`offsets`/`width`) the outputs compile against.
+/// A planned SELECT box, scalar-subquery values and constant predicates
+/// already folded in: the join levels in execution order and the output
+/// programs. Global tuple slots are the levels' columns concatenated, so a
+/// one-level plan's slots are its child's own ordinals.
 struct FusedPlan {
     levels: Vec<FusedLevel>,
-    offsets: FxHashMap<u32, usize>,
-    width: usize,
+    out_progs: Vec<Program>,
 }
 
-/// Plan a fused join pipeline for a multi-quantifier SELECT, replicating
-/// the materializing path's join-order and predicate-placement decisions
-/// exactly (same pick rule, same done-marking order) so the row stream —
-/// and therefore every downstream fold — is identical. Returns `None` when
-/// any non-driver level has no equi-join conjunct (cross products keep the
-/// materializing path, which handles them without combinatorial recursion
-/// cost per driver row).
+/// Plan the join levels and outputs of SELECT box `b` with the serial
+/// interpreter's join-order and predicate-placement decisions (same pick
+/// rule, same done-marking order), so the row stream — and therefore every
+/// downstream fold — is identical. `pred_done` marks the predicates the
+/// caller has already decided (the constant ones).
 fn plan_fused(
     g: &QgmGraph,
     b: BoxId,
@@ -959,9 +970,8 @@ fn plan_fused(
     foreach: &[QuantId],
     scalars: &FxHashMap<u32, Value>,
     pred_refs: &[HashSet<u32>],
-    pred_done_in: &[bool],
-) -> Result<Option<FusedPlan>, ExecError> {
-    let mut pred_done = pred_done_in.to_vec();
+    mut pred_done: Vec<bool>,
+) -> Result<FusedPlan, ExecError> {
     let mut offsets: FxHashMap<u32, usize> = FxHashMap::default();
     let mut width = 0usize;
     let mut remaining: Vec<QuantId> = foreach.to_vec();
@@ -1006,9 +1016,6 @@ fn plan_fused(
                 build.push(compile_local(&qs, b, q.idx, scalars, child_width)?);
             }
         }
-        if !levels.is_empty() && build.is_empty() {
-            return Ok(None);
-        }
         offsets.insert(q.idx, width);
         width += child_width;
 
@@ -1031,19 +1038,24 @@ fn plan_fused(
         });
     }
     debug_assert!(pred_done.iter().all(|&d| d), "all predicates placed");
-    Ok(Some(FusedPlan {
-        levels,
-        offsets,
-        width,
-    }))
+    // A predicate over the driver alone is one of its `singles`.
+    debug_assert!(levels.iter().take(1).all(|l| l.resid.is_empty()));
+    let out_progs = g
+        .boxed(b)
+        .outputs
+        .iter()
+        .map(|oc| compile_bound(&oc.expr, b, &offsets, scalars, width))
+        .collect::<Result<Vec<Program>, ExecError>>()?;
+    Ok(FusedPlan { levels, out_progs })
 }
 
 /// Depth-first walk of the fused join levels for one driver row: evaluate
-/// the level's probe key over the bound prefix, iterate matches in build
-/// (scan) order — the serial left-deep enumeration order — filter with the
-/// predicates that became fully bound at this level, and emit one output
-/// row per full match. No intermediate tuple is ever materialized; the
-/// bound prefix lives as per-level row cursors (`cur`).
+/// the level's probe key over the bound prefix (the empty key of a level
+/// with no equi-join conjunct matches all of its filtered rows), iterate
+/// matches in build (scan) order — the serial left-deep enumeration order —
+/// filter with the predicates that became fully bound at this level, and
+/// emit one output row per full match. No intermediate tuple is ever
+/// materialized; the bound prefix lives as per-level row cursors (`cur`).
 #[allow(clippy::too_many_arguments)]
 fn fused_walk<'c>(
     lvl: usize,
@@ -1108,17 +1120,6 @@ fn fused_walk<'c>(
     }
 }
 
-/// A fusable scan: a SELECT box that is a pure single-table columnar scan
-/// (one foreach quantifier over a base table, plus any scalar subqueries),
-/// described by compiled programs instead of materialized rows so a
-/// consumer can stream it.
-pub(crate) struct ScanPlan {
-    pub(crate) table: Arc<ColumnarTable>,
-    pub(crate) out_progs: Vec<Program>,
-    pub(crate) singles: Vec<Program>,
-    pub(crate) const_false: bool,
-}
-
 // ---------------------------------------------------------------------------
 // The morsel-parallel columnar executor
 // ---------------------------------------------------------------------------
@@ -1165,27 +1166,37 @@ impl ParExec<'_> {
     /// derived boxes are materialized (and memo-shared) as rows.
     fn child_of(&mut self, b: BoxId) -> Result<Child, ExecError> {
         match &self.g.boxed(b).kind {
-            BoxKind::BaseTable { table } => {
-                let key = table.to_ascii_lowercase();
-                let t = match self.columnar.get(&key) {
-                    Some(t) => Arc::clone(t),
-                    None => {
-                        let t = self.db.columnar(&key);
-                        self.columnar.insert(key, Arc::clone(&t));
-                        t
-                    }
-                };
-                Ok(Child::Col(t))
-            }
+            BoxKind::BaseTable { table } => Ok(Child::Col(self.columnar_of(table))),
             _ => Ok(Child::Rows(self.rows_of(b)?)),
         }
     }
 
+    fn columnar_of(&mut self, table: &str) -> Arc<ColumnarTable> {
+        let key = table.to_ascii_lowercase();
+        if let Some(t) = self.columnar.get(&key) {
+            return Arc::clone(t);
+        }
+        let t = self.db.columnar(&key);
+        self.columnar.insert(key, Arc::clone(&t));
+        t
+    }
+
     fn exec_select(&mut self, b: BoxId) -> Result<Vec<Row>, ExecError> {
+        match self.plan_select(b)? {
+            Some(plan) => self.exec_fused(&plan),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// Plan SELECT box `b`: compute its scalar subqueries, decide its
+    /// constant predicates, and plan the rest with [`plan_fused`]. `None`
+    /// means a constant predicate is not true — the box has no rows and no
+    /// child needs to run.
+    fn plan_select(&mut self, b: BoxId) -> Result<Option<FusedPlan>, ExecError> {
         let bx = self.g.boxed(b);
         let sel = bx
             .as_select()
-            .ok_or_else(|| ExecError::malformed(b, "exec_select on a non-SELECT box"))?;
+            .ok_or_else(|| ExecError::malformed(b, "plan_select on a non-SELECT box"))?;
 
         // 1. Pre-compute scalar subquery values.
         let mut scalars: FxHashMap<u32, Value> = FxHashMap::default();
@@ -1218,265 +1229,41 @@ impl ParExec<'_> {
                 let prog = compile_bound(p, b, &no_offsets, &scalars, 0)?;
                 let mut scratch = Scratch::new();
                 if prog.eval_truth(&|_| Cell::Null, &mut scratch) != Some(true) {
-                    return Ok(Vec::new());
+                    return Ok(None);
                 }
             }
         }
 
-        // 3. Multi-quantifier joins: try the fused pipeline first — driver
-        // morsels stream through per-level hash lookups straight into
-        // output rows, with no intermediate tuple materialization.
-        if foreach.len() >= 2 {
-            if let Some(plan) = plan_fused(
-                self.g,
-                b,
-                &sel.predicates,
-                &foreach,
-                &scalars,
-                &pred_refs,
-                &pred_done,
-            )? {
-                return self.exec_fused(b, &plan, &scalars);
-            }
-        }
-
-        // 4. Materializing left-deep join (single scans and cross products).
-        // `offsets` maps bound quantifier → start offset in the
-        // concatenated tuple.
-        let mut offsets: FxHashMap<u32, usize> = FxHashMap::default();
-        let mut tuples: Vec<Row> = vec![Vec::new()];
-        let mut width = 0usize;
-        let mut remaining: Vec<QuantId> = foreach;
-
-        while !remaining.is_empty() {
-            // Pick the next quantifier: prefer one linked to the bound set
-            // by an equi-join conjunct; fall back to the first remaining.
-            let pick = remaining
-                .iter()
-                .position(|q| {
-                    !offsets.is_empty()
-                        && sel.predicates.iter().enumerate().any(|(i, p)| {
-                            !pred_done[i] && is_equi_join(p, &offsets, q.idx, &pred_refs[i])
-                        })
-                })
-                .unwrap_or(0);
-            let q = remaining.remove(pick);
-            let child_box = self.g.input_of(q);
-            let child_width = self.g.boxed(child_box).outputs.len();
-            let child = self.child_of(child_box)?;
-            let src = child.source();
-            let n = src.len();
-
-            // Single-quantifier predicates, compiled against child columns.
-            let mut singles: Vec<Program> = Vec::new();
-            for (i, refs) in pred_refs.iter().enumerate() {
-                if !pred_done[i] && refs.len() == 1 && refs.contains(&q.idx) {
-                    pred_done[i] = true;
-                    singles.push(compile_local(
-                        &sel.predicates[i],
-                        b,
-                        q.idx,
-                        &scalars,
-                        child_width,
-                    )?);
-                }
-            }
-            // Lower what we can to typed vectorized kernels (columnar scans
-            // only); the rest stays on the program interpreter.
-            let (kernels, resid) = lower_singles(&singles, child.columnar());
-
-            // Equi-join conjuncts usable for hashing, split and compiled:
-            // bound side against the current tuple, child side against `q`.
-            let mut hash_bound: Vec<Program> = Vec::new();
-            let mut hash_child: Vec<Program> = Vec::new();
-            for (i, p) in sel.predicates.iter().enumerate() {
-                if pred_done[i] {
-                    continue;
-                }
-                if let Some((bs, qs)) = split_equi_join(p, &offsets, q.idx, &pred_refs[i]) {
-                    pred_done[i] = true;
-                    hash_bound.push(compile_bound(&bs, b, &offsets, &scalars, width)?);
-                    hash_child.push(compile_local(&qs, b, q.idx, &scalars, child_width)?);
-                }
-            }
-
-            if offsets.is_empty() && remaining.is_empty() {
-                // Fused scan→filter→project: the whole query is a single
-                // scan, so skip tuple materialization entirely and emit
-                // output rows straight from the (columnar) child. This is
-                // the bench-critical hot path.
-                debug_assert!(hash_bound.is_empty());
-                let out_progs = bx
-                    .outputs
-                    .iter()
-                    .map(|oc| compile_local(&oc.expr, b, q.idx, &scalars, child_width))
-                    .collect::<Result<Vec<Program>, ExecError>>()?;
-                debug_assert!(pred_done.iter().all(|&d| d), "all predicates applied");
-                // Bare-column outputs copy straight from the source; only
-                // computed outputs run the interpreter.
-                let out_cols: Vec<Option<u32>> = out_progs.iter().map(Program::as_col).collect();
-                let parts = par_map(row_workers(self.workers, n), self.morsel, n, |_, range| {
-                    let mut scratch = Scratch::new();
-                    let mut out: Vec<Row> = Vec::with_capacity(range.len());
-                    'rows: for i in range {
-                        for k in &kernels {
-                            if !k.passes(i) {
-                                continue 'rows;
-                            }
-                        }
-                        let col = |c: u32| src.cell(i, c as usize);
-                        for p in &resid {
-                            if p.eval_truth(&col, &mut scratch) != Some(true) {
-                                continue 'rows;
-                            }
-                        }
-                        let mut row = Vec::with_capacity(out_progs.len());
-                        for (p, fast) in out_progs.iter().zip(&out_cols) {
-                            row.push(match fast {
-                                Some(c) => src.cell(i, *c as usize).into_value(),
-                                None => p.eval_value(&col, &mut scratch),
-                            });
-                        }
-                        out.push(row);
-                    }
-                    out
-                });
-                return Ok(parts.into_iter().flatten().collect());
-            }
-
-            // Prefilter: indices of child rows passing the single-quant
-            // predicates, in scan order.
-            let filtered = filter_indices(self.workers, self.morsel, src, &kernels, &resid);
-
-            let next: Vec<Row> = if !hash_child.is_empty() && !offsets.is_empty() {
-                // Hash join against a partitioned build.
-                let table =
-                    build_join_table(self.workers, self.morsel, src, &filtered, &hash_child);
-                // Probe is morsel-parallel over the bound tuples.
-                let pw = row_workers(self.workers, tuples.len());
-                par_map(pw, self.morsel, tuples.len(), |_, range| {
-                    let mut scratch = Scratch::new();
-                    let mut out: Vec<Row> = Vec::new();
-                    'probe: for ti in range {
-                        let t = &tuples[ti];
-                        let col = |off: u32| Cell::of(&t[off as usize]);
-                        let mut key = Vec::with_capacity(hash_bound.len());
-                        for p in &hash_bound {
-                            let v = p.eval_value(&col, &mut scratch);
-                            if v.is_null() {
-                                continue 'probe;
-                            }
-                            key.push(v);
-                        }
-                        if let Some(matches) = table.get(&key) {
-                            for &m in matches {
-                                let mut nt = Vec::with_capacity(width + child_width);
-                                nt.extend_from_slice(t);
-                                src.append_row(m as usize, &mut nt);
-                                out.push(nt);
-                            }
-                        }
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                // Cross product (remaining predicates applied below).
-                let pw = row_workers(self.workers, tuples.len());
-                par_map(pw, self.morsel, tuples.len(), |_, range| {
-                    let mut out: Vec<Row> = Vec::new();
-                    for ti in range {
-                        let t = &tuples[ti];
-                        for &fi in &filtered {
-                            let mut nt = Vec::with_capacity(width + child_width);
-                            nt.extend_from_slice(t);
-                            src.append_row(fi as usize, &mut nt);
-                            out.push(nt);
-                        }
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-            offsets.insert(q.idx, width);
-            width += child_width;
-            tuples = next;
-
-            // Apply any other predicate now fully bound.
-            let bound: HashSet<u32> = offsets.keys().copied().collect();
-            for (i, p) in sel.predicates.iter().enumerate() {
-                if pred_done[i] || !pred_refs[i].is_subset(&bound) {
-                    continue;
-                }
-                pred_done[i] = true;
-                let prog = compile_bound(p, b, &offsets, &scalars, width)?;
-                let pw = row_workers(self.workers, tuples.len());
-                let keep: Vec<bool> = par_map(pw, self.morsel, tuples.len(), |_, range| {
-                    let mut scratch = Scratch::new();
-                    range
-                        .map(|ti| {
-                            let t = &tuples[ti];
-                            prog.eval_truth(&|off: u32| Cell::of(&t[off as usize]), &mut scratch)
-                                == Some(true)
-                        })
-                        .collect::<Vec<bool>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-                let mut it = keep.into_iter();
-                tuples.retain(|_| it.next().unwrap_or(false));
-            }
-        }
-        debug_assert!(pred_done.iter().all(|&d| d), "all predicates applied");
-
-        // 5. Project the outputs, morsel-parallel.
-        let out_progs = bx
-            .outputs
-            .iter()
-            .map(|oc| compile_bound(&oc.expr, b, &offsets, &scalars, width))
-            .collect::<Result<Vec<Program>, ExecError>>()?;
-        let pw = row_workers(self.workers, tuples.len());
-        let parts = par_map(pw, self.morsel, tuples.len(), |_, range| {
-            let mut scratch = Scratch::new();
-            let mut out: Vec<Row> = Vec::with_capacity(range.len());
-            for ti in range {
-                let t = &tuples[ti];
-                let col = |off: u32| Cell::of(&t[off as usize]);
-                out.push(
-                    out_progs
-                        .iter()
-                        .map(|p| p.eval_value(&col, &mut scratch))
-                        .collect(),
-                );
-            }
-            out
-        });
-        Ok(parts.into_iter().flatten().collect())
+        // 3. Join levels and outputs.
+        plan_fused(
+            self.g,
+            b,
+            &sel.predicates,
+            &foreach,
+            &scalars,
+            &pred_refs,
+            pred_done,
+        )
+        .map(Some)
     }
 
-    /// Execute a planned fused join pipeline: build one partitioned hash
-    /// table per non-driver level, then stream driver morsels depth-first
-    /// through the levels straight into output rows.
-    fn exec_fused(
-        &mut self,
-        b: BoxId,
-        plan: &FusedPlan,
-        scalars: &FxHashMap<u32, Value>,
-    ) -> Result<Vec<Row>, ExecError> {
-        let bx = self.g.boxed(b);
-        let out_progs = bx
-            .outputs
-            .iter()
-            .map(|oc| compile_bound(&oc.expr, b, &plan.offsets, scalars, plan.width))
-            .collect::<Result<Vec<Program>, ExecError>>()?;
+    /// Execute a planned SELECT box: build one [`JoinTable`] per non-driver
+    /// level, then stream driver morsels depth-first through the levels
+    /// straight into output rows.
+    fn exec_fused(&mut self, plan: &FusedPlan) -> Result<Vec<Row>, ExecError> {
+        let out_progs = &plan.out_progs;
+        if plan.levels.is_empty() {
+            // FROM-less SELECT: the empty join is one empty tuple.
+            let mut scratch = Scratch::new();
+            let row = out_progs
+                .iter()
+                .map(|p| p.eval_value(&|_| Cell::Null, &mut scratch))
+                .collect();
+            return Ok(vec![row]);
+        }
         // Global tuple slot → (level, child ordinal); levels were assigned
         // offsets in order, so the map is a simple concatenation.
-        let mut slot_map: Vec<(u32, u32)> = Vec::with_capacity(plan.width);
+        let mut slot_map: Vec<(u32, u32)> = Vec::new();
         for (lvl, level) in plan.levels.iter().enumerate() {
             for ord in 0..level.child_width {
                 slot_map.push((lvl as u32, ord as u32));
@@ -1495,18 +1282,23 @@ impl ParExec<'_> {
             .collect::<Result<Vec<Child>, ExecError>>()?;
         let sources: Vec<Source> = children.iter().map(Child::source).collect();
 
-        // Build one partitioned hash table per non-driver level.
+        // One table per non-driver level over its prefiltered rows: hash
+        // partitions on the equi-join key, or every row under the empty key.
         let mut tables: Vec<JoinTable> = Vec::new();
         for (li, lvl) in plan.levels.iter().enumerate().skip(1) {
             let (kernels, resid) = lower_singles(&lvl.singles, children[li].columnar());
             let filtered = filter_indices(self.workers, self.morsel, sources[li], &kernels, &resid);
-            tables.push(build_join_table(
-                self.workers,
-                self.morsel,
-                sources[li],
-                &filtered,
-                &lvl.build,
-            ));
+            tables.push(if lvl.build.is_empty() {
+                JoinTable::cross(filtered)
+            } else {
+                build_join_table(
+                    self.workers,
+                    self.morsel,
+                    sources[li],
+                    &filtered,
+                    &lvl.build,
+                )
+            });
         }
 
         // Stream the driver: filter → walk the join levels → emit, all in
@@ -1516,40 +1308,42 @@ impl ParExec<'_> {
         let (kernels0, resid0) = lower_singles(&plan.levels[0].singles, children[0].columnar());
         let levels = &plan.levels;
         let slot_map = &slot_map;
+        // A one-level plan (a single scan) emits from the driver loop: its
+        // slots are the driver's own ordinals, and reaching the same cells
+        // through the walk's slot map and cursors measured +9–10% on the
+        // e2e `base_scan` median query and +12% on its set-up; emitting
+        // here measured parity on all four workloads (EXPERIMENTS E-X5).
+        let scan_only = levels.len() == 1;
         let w = row_workers(self.workers, n);
         let parts = par_map(w, self.morsel, n, |_, range| {
             let mut scratch = Scratch::new();
             let cur: Vec<std::cell::Cell<u32>> =
                 (0..levels.len()).map(|_| std::cell::Cell::new(0)).collect();
-            let mut out: Vec<Row> = Vec::new();
+            let mut out: Vec<Row> = Vec::with_capacity(if scan_only { range.len() } else { 0 });
             'rows: for i in range {
                 for k in &kernels0 {
                     if !k.passes(i) {
                         continue 'rows;
                     }
                 }
-                {
-                    let col = |c: u32| src0.cell(i, c as usize);
-                    for p in &resid0 {
-                        if p.eval_truth(&col, &mut scratch) != Some(true) {
-                            continue 'rows;
-                        }
+                let col = |c: u32| src0.cell(i, c as usize);
+                for p in &resid0 {
+                    if p.eval_truth(&col, &mut scratch) != Some(true) {
+                        continue 'rows;
                     }
+                }
+                if scan_only {
+                    let mut row = Vec::with_capacity(out_progs.len());
+                    for (p, fast) in out_progs.iter().zip(&out_cols) {
+                        row.push(match fast {
+                            Some((_, ord)) => src0.cell(i, *ord as usize).into_value(),
+                            None => p.eval_value(&col, &mut scratch),
+                        });
+                    }
+                    out.push(row);
+                    continue;
                 }
                 cur[0].set(i as u32);
-                // Driver-level residuals (rare: predicates over the driver
-                // alone that were not single-quantifier shaped).
-                {
-                    let col = |slot: u32| {
-                        let (lv, ord) = slot_map[slot as usize];
-                        sources[lv as usize].cell(cur[lv as usize].get() as usize, ord as usize)
-                    };
-                    for p in &levels[0].resid {
-                        if p.eval_truth(&col, &mut scratch) != Some(true) {
-                            continue 'rows;
-                        }
-                    }
-                }
                 fused_walk(
                     1,
                     levels,
@@ -1558,7 +1352,7 @@ impl ParExec<'_> {
                     slot_map,
                     &cur,
                     &mut scratch,
-                    &out_progs,
+                    out_progs,
                     &out_cols,
                     &mut out,
                 );
@@ -1568,79 +1362,26 @@ impl ParExec<'_> {
         Ok(parts.into_iter().flatten().collect())
     }
 
-    /// Describe box `b` as a fusable single-table scan, if it is one.
-    fn scan_plan(&mut self, b: BoxId) -> Result<Option<ScanPlan>, ExecError> {
-        let bx = self.g.boxed(b);
-        let Some(sel) = bx.as_select() else {
-            return Ok(None);
-        };
-        let mut scalars: FxHashMap<u32, Value> = FxHashMap::default();
-        let mut foreach: Vec<QuantId> = Vec::new();
-        for &q in &bx.quants {
-            match self.g.quant(q).kind {
-                QuantKind::Scalar => {
-                    let rows = self.rows_of(self.g.input_of(q))?;
-                    let v = match rows.len() {
-                        0 => Value::Null,
-                        1 => rows[0][0].clone(),
-                        n => return Err(ExecError::ScalarSubqueryCardinality(n)),
-                    };
-                    scalars.insert(q.idx, v);
-                }
-                QuantKind::Foreach => foreach.push(q),
-            }
-        }
-        if foreach.len() != 1 {
-            return Ok(None);
-        }
-        let q = foreach[0];
-        let child_box = self.g.input_of(q);
-        let Child::Col(table) = self.child_of(child_box)? else {
-            return Ok(None);
-        };
-        let child_width = self.g.boxed(child_box).outputs.len();
-
-        let quant_set: HashSet<u32> = [q.idx].into_iter().collect();
-        let pred_refs = pred_quant_refs(&sel.predicates, &quant_set);
-        let no_offsets: FxHashMap<u32, usize> = FxHashMap::default();
-        let mut const_false = false;
-        let mut singles: Vec<Program> = Vec::new();
-        for (i, p) in sel.predicates.iter().enumerate() {
-            if pred_refs[i].is_empty() {
-                let prog = compile_bound(p, b, &no_offsets, &scalars, 0)?;
-                let mut scratch = Scratch::new();
-                if prog.eval_truth(&|_| Cell::Null, &mut scratch) != Some(true) {
-                    const_false = true;
-                }
-            } else {
-                singles.push(compile_local(p, b, q.idx, &scalars, child_width)?);
-            }
-        }
-        let out_progs = bx
-            .outputs
-            .iter()
-            .map(|oc| compile_local(&oc.expr, b, q.idx, &scalars, child_width))
-            .collect::<Result<Vec<Program>, ExecError>>()?;
-        Ok(Some(ScanPlan {
-            table,
-            out_progs,
-            singles,
-            const_false,
-        }))
-    }
-
-    /// Fused scan→aggregate over a columnar base table: grouping keys must
-    /// be bare typed columns of the scan; aggregate arguments read typed
-    /// cells (bare columns) or run their compiled program per row. Returns
-    /// `None` when the shape doesn't qualify, leaving the materializing
-    /// path to handle it.
+    /// Fused scan→aggregate: when the group-by's input `sp` is a one-level
+    /// plan over a columnar base table, aggregate straight off the snapshot
+    /// — no input row is ever materialized. Grouping keys must be bare
+    /// typed columns of the scan; aggregate arguments read typed cells
+    /// (bare columns) or run their compiled program per row. Returns `None`
+    /// when the shape doesn't qualify, leaving the caller to run `sp`.
     fn group_by_scan(
-        &self,
+        &mut self,
         sets: &[Vec<usize>],
         plan: &GroupPlan,
-        sp: &ScanPlan,
+        sp: &FusedPlan,
     ) -> Option<Vec<Row>> {
-        let t: &ColumnarTable = &sp.table;
+        let [scan] = sp.levels.as_slice() else {
+            return None;
+        };
+        let BoxKind::BaseTable { table } = &self.g.boxed(scan.child_box).kind else {
+            return None;
+        };
+        let table = self.columnar_of(table);
+        let t: &ColumnarTable = &table;
         let mut key_cols: Vec<usize> = Vec::with_capacity(plan.item_ords.len());
         for &ord in &plan.item_ords {
             let slot = sp.out_progs.get(ord)?.as_col()? as usize;
@@ -1664,12 +1405,8 @@ impl ParExec<'_> {
                 }
             });
         }
-        let filtered: Vec<u32> = if sp.const_false {
-            Vec::new()
-        } else {
-            let (kernels, resid) = lower_singles(&sp.singles, Some(t));
-            filter_indices(self.workers, self.morsel, Source::Col(t), &kernels, &resid)
-        };
+        let (kernels, resid) = lower_singles(&scan.singles, Some(t));
+        let filtered = filter_indices(self.workers, self.morsel, Source::Col(t), &kernels, &resid);
         let mut out: Vec<Row> = Vec::new();
         for set in sets {
             let mut entries = grouped_columnar(
@@ -1702,20 +1439,21 @@ impl ParExec<'_> {
         let input_box = self.g.input_of(child_q);
         let plan = plan_group_by(self.g, b)?;
 
-        // Fused scan→aggregate: when the input is a pure single-table scan
-        // consumed only by this box, aggregate straight off the columnar
-        // snapshot — no input row is ever materialized. All grouping
-        // columns must be typed (checked in `group_by_scan`); otherwise
-        // fall through to the materializing path.
-        if self.g.consumer_count(input_box) == 1 {
-            if let Some(sp) = self.scan_plan(input_box)? {
-                if let Some(rows) = self.group_by_scan(&gb.sets, &plan, &sp) {
-                    return Ok(rows);
-                }
+        // A SELECT input consumed only by this box is planned here, so a
+        // single columnar scan can be aggregated without materializing it
+        // (`group_by_scan`); any other shape runs the plan it already has.
+        let sole_select =
+            self.g.consumer_count(input_box) == 1 && self.g.boxed(input_box).as_select().is_some();
+        let input = if !sole_select {
+            self.rows_of(input_box)?
+        } else if let Some(sp) = self.plan_select(input_box)? {
+            if let Some(rows) = self.group_by_scan(&gb.sets, &plan, &sp) {
+                return Ok(rows);
             }
-        }
-
-        let input = self.rows_of(input_box)?;
+            Rc::new(self.exec_fused(&sp)?)
+        } else {
+            Rc::default()
+        };
         let mut out: Vec<Row> = Vec::new();
         // One aggregation pass per cuboid (Section 5: a cube query is the
         // union of its cuboids, NULL-padding the grouped-out columns).
@@ -2272,6 +2010,24 @@ mod tests {
             "select tid, (select min(lid) from loc where lid > 99) as n from trans where tid = 1",
         );
         assert_eq!(rows, vec![vec![Value::Int(1), Value::Null]]);
+    }
+
+    /// A SELECT without FROM is one row (or none, under a false constant
+    /// predicate) in both executors.
+    #[test]
+    fn from_less_select() {
+        let (cat, db) = setup();
+        for (sql, expect) in [
+            (
+                "select 1 as one, (select count(*) from loc) as n",
+                vec![vec![Value::Int(1), Value::Int(2)]],
+            ),
+            ("select 1 as one where 1 = 2", vec![]),
+        ] {
+            let g = build_query(&parse_query(sql).unwrap(), &cat).unwrap();
+            assert_eq!(execute(&g, &db).unwrap(), expect, "{sql}");
+            assert_eq!(execute_serial(&g, &db).unwrap(), expect, "{sql}");
+        }
     }
 
     #[test]

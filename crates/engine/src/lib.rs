@@ -8,15 +8,17 @@
 //! (b) measure the relative cost of original vs rewritten queries, which is
 //! what drives the paper's "orders of magnitude" claim.
 //!
-//! Design: a materializing executor with two paths over one plan shape.
-//! Each box produces a `Vec<Row>`. SELECT boxes plan a left-deep join order
-//! and use hash joins for equi-join conjuncts (nested loops otherwise);
-//! GROUP BY boxes use hash aggregation, evaluating multidimensional
-//! grouping sets one cuboid at a time over the same input (Section 5
-//! semantics, Figure 12). The default path ([`execute`]) is morsel-parallel
-//! and columnar: base tables are scanned through cached [`ColumnarTable`]
-//! snapshots, scalar expressions are compiled once per box into flat
-//! [`Program`] op slices, and work fans across a scoped thread pool with
+//! Design: one executor and one reference over one plan shape. Each box
+//! produces a `Vec<Row>`. SELECT boxes plan a left-deep join order and use
+//! hash joins for equi-join conjuncts (nested loops otherwise); GROUP BY
+//! boxes use hash aggregation, evaluating multidimensional grouping sets
+//! one cuboid at a time over the same input (Section 5 semantics, Figure
+//! 12). The executor ([`execute`]) is morsel-parallel and columnar: base
+//! tables are scanned through cached [`ColumnarTable`] snapshots, scalar
+//! expressions are compiled once per box into flat [`Program`] op slices,
+//! every SELECT box runs one fused pipeline (driver morsels stream through
+//! the join levels straight into output rows; a single scan is the
+//! one-level case), and work fans across a scoped thread pool with
 //! deterministic slot-merge. The row-at-a-time interpreter survives as
 //! [`execute_serial`], the differential-testing oracle.
 

@@ -1,19 +1,18 @@
-//! A convenience session: catalog + database + SQL entry points.
+//! A session's state — catalog + database + executor options — and the
+//! read-only SQL helpers over it.
 //!
-//! `Session` executes DDL (`CREATE TABLE`, `CREATE SUMMARY TABLE`,
-//! `ALTER TABLE ... ADD FOREIGN KEY`), `INSERT ... VALUES`, and queries. It
-//! does **not** perform AST rewriting — that is the matcher's job; the
-//! `sumtab` facade crate combines both.
+//! `Session` runs queries; [`table_from_ddl`], [`literal_rows`],
+//! [`matched_rows`] and [`update_deltas`] resolve the parts of a DDL or DML
+//! statement that need the catalog or the data. It neither applies a
+//! statement nor rewrites a query: the `sumtab` facade resolves each
+//! statement to one change record and applies it (`SummarySession::apply`,
+//! the only mutator), and the matcher does the rewriting.
 
 use crate::db::{Database, Row};
 use crate::error::SumtabError;
 use crate::exec::{execute_with, ExecOptions};
-use crate::materialize::materialize_with;
-use sumtab_catalog::{Catalog, Column, SummaryTableDef, Table, Value};
-use sumtab_parser::{
-    parse_statements, render::render_query, CreateTable, Expr, Query, SelectItem, Statement,
-    TableRef,
-};
+use sumtab_catalog::{Catalog, Column, Table, Value};
+use sumtab_parser::{CreateTable, Expr, Query, SelectItem, TableRef};
 use sumtab_qgm::build_query;
 
 /// Result of running one statement.
@@ -31,7 +30,7 @@ fn err(e: impl Into<SumtabError>) -> SumtabError {
     e.into()
 }
 
-/// Catalog + data + SQL front end.
+/// Catalog + data + executor options: the state a front end holds.
 #[derive(Debug, Clone, Default)]
 pub struct Session {
     /// Schema and constraints.
@@ -58,94 +57,6 @@ impl Session {
         }
     }
 
-    /// Run a semicolon-separated SQL script; returns one result per
-    /// statement.
-    pub fn run_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, SumtabError> {
-        let stmts = parse_statements(sql).map_err(err)?;
-        stmts.iter().map(|s| self.run_statement(s)).collect()
-    }
-
-    /// Run a single parsed statement.
-    pub fn run_statement(&mut self, stmt: &Statement) -> Result<StatementResult, SumtabError> {
-        match stmt {
-            Statement::Query(q) => self.run_query(q),
-            Statement::CreateTable(ct) => {
-                self.catalog.add_table(table_from_ddl(ct)?).map_err(err)?;
-                Ok(StatementResult::Done)
-            }
-            Statement::CreateSummaryTable { name, query } => {
-                let g = build_query(query, &self.catalog).map_err(err)?;
-                let backing = materialize_with(name, &g, &self.catalog, &mut self.db, &self.exec)
-                    .map_err(err)?;
-                self.catalog
-                    .add_summary_table(
-                        SummaryTableDef {
-                            name: name.clone(),
-                            query_sql: render_query(query),
-                        },
-                        backing,
-                    )
-                    .map_err(err)?;
-                Ok(StatementResult::Done)
-            }
-            Statement::AddForeignKey {
-                child_table,
-                columns,
-                parent_table,
-            } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                self.catalog
-                    .add_foreign_key(child_table, &cols, parent_table)
-                    .map_err(err)?;
-                Ok(StatementResult::Done)
-            }
-            Statement::Insert { table, rows } => {
-                let values = literal_rows(rows)?;
-                let n = self.db.insert(&self.catalog, table, values).map_err(err)?;
-                Ok(StatementResult::Count(n))
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let victims = matched_rows(
-                    &self.catalog,
-                    &self.db,
-                    &self.exec,
-                    table,
-                    where_clause.as_ref(),
-                )?;
-                if victims.is_empty() {
-                    return Ok(StatementResult::Count(0));
-                }
-                let n = self.db.remove_rows(table, &victims);
-                Ok(StatementResult::Count(n))
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => {
-                let (old, new) = update_deltas(
-                    &self.catalog,
-                    &self.db,
-                    &self.exec,
-                    table,
-                    sets,
-                    where_clause.as_ref(),
-                )?;
-                if old.is_empty() {
-                    return Ok(StatementResult::Count(0));
-                }
-                let n = self
-                    .db
-                    .replace_rows(&self.catalog, table, &old, new)
-                    .map_err(err)?;
-                Ok(StatementResult::Count(n))
-            }
-        }
-    }
-
     /// Execute a parsed SELECT. Read-only, so front ends that resolve a
     /// statement before applying it can run queries through `&self`.
     pub fn run_query(&self, q: &Query) -> Result<StatementResult, SumtabError> {
@@ -163,7 +74,7 @@ impl Session {
     /// Run a single SELECT and return `(header, rows)`.
     pub fn query(&mut self, sql: &str) -> Result<(Vec<String>, Vec<Row>), SumtabError> {
         let q = sumtab_parser::parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
-        match self.run_statement(&Statement::Query(Box::new(q)))? {
+        match self.run_query(&q)? {
             StatementResult::Rows(h, r) => Ok((h, r)),
             other => Err(SumtabError::Unsupported {
                 detail: format!("query statement produced a non-row result: {other:?}"),
@@ -172,8 +83,8 @@ impl Session {
     }
 }
 
-/// The schema a `CREATE TABLE` statement declares. Public so front ends that
-/// log DDL as a [`Table`] build it exactly as [`Session::run_statement`] does.
+/// The schema a `CREATE TABLE` statement declares. Public so the front end
+/// that resolves DDL to a logged [`Table`] builds it in one place.
 pub fn table_from_ddl(ct: &CreateTable) -> Result<Table, SumtabError> {
     let cols = ct
         .columns
@@ -294,8 +205,8 @@ pub fn update_deltas(
 }
 
 /// Convert parsed `INSERT ... VALUES` rows into concrete values. Public so
-/// front ends that route inserts through summary-table maintenance share
-/// the same literal handling as [`Session::run_statement`].
+/// the front end that routes inserts through summary-table maintenance
+/// resolves literals in one place.
 pub fn literal_rows(rows: &[Vec<sumtab_parser::Expr>]) -> Result<Vec<Row>, SumtabError> {
     rows.iter()
         .map(|row| row.iter().map(literal_value).collect())
@@ -318,68 +229,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn end_to_end_script() {
-        let mut s = Session::new();
-        let results = s
-            .run_script(
-                "create table t (a int not null, b varchar, primary key (a));\
-                 insert into t values (1, 'x'), (2, 'y'), (3, 'x');\
-                 select b, count(*) as n from t group by b;",
-            )
-            .unwrap();
-        assert_eq!(results[0], StatementResult::Done);
-        assert_eq!(results[1], StatementResult::Count(3));
-        match &results[2] {
-            StatementResult::Rows(header, rows) => {
-                assert_eq!(header, &["b", "n"]);
-                let mut rows = rows.clone();
-                rows.sort();
-                assert_eq!(
-                    rows,
-                    vec![
-                        vec![Value::from("x"), Value::Int(2)],
-                        vec![Value::from("y"), Value::Int(1)],
-                    ]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn summary_table_ddl_materializes() {
-        let mut s = Session::new();
-        s.run_script(
-            "create table t (a int not null, v int not null);\
-             insert into t values (1, 10), (1, 20), (2, 5);\
-             create summary table st as (select a, sum(v) as sv from t group by a);",
-        )
-        .unwrap();
-        assert!(s.catalog.is_summary_table("st"));
-        assert_eq!(s.db.row_count("st"), 2);
-        // The backing table is queryable like any base table.
-        let (_, rows) = s.query("select sv from st where a = 1").unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(30)]]);
-    }
-
-    #[test]
-    fn fk_ddl() {
-        let mut s = Session::new();
-        s.run_script(
-            "create table p (id int not null, primary key (id));\
-             create table c (fid int not null);\
-             alter table c add foreign key (fid) references p;",
-        )
-        .unwrap();
-        assert_eq!(s.catalog.foreign_keys().len(), 1);
-    }
-
-    #[test]
     fn errors_are_reported() {
         let mut s = Session::new();
-        assert!(s.run_script("select a from nope").is_err());
-        assert!(s
-            .run_script("create table t (a int); insert into t values (1, 2)")
-            .is_err());
+        assert!(s.query("select a from nope").is_err());
     }
 }

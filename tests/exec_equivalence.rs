@@ -210,6 +210,9 @@ const NULL_AND_DISTINCT_QUERIES: &[&str] = &[
     "select k, v from nl order by k, v limit 1",
     // Scalar subquery + filter.
     "select k, v, (select count(*) from nr) as t from nl where v > 0",
+    // Cross product whose only link is a non-equi residual (NULLs on both
+    // sides make the verdict three-valued).
+    "select nl.k, nl.v, nr.k from nl, nr where nl.v < nr.k",
 ];
 
 /// Star-schema joins and multi-way aggregation.
@@ -247,6 +250,22 @@ const ADVERSARIAL_QUERIES: &[&str] = &[
      from nullj, hotdim where nullj.k = hotdim.k group by nullj.k",
     // NULL keys on the build side too (nl has every-third-key NULL).
     "select hot.uniq from hot, nl where hot.k = nl.k and hot.uniq < 50",
+    // Join levels with no equi-join conjunct: a pure cross product, then a
+    // three-quantifier box whose second pick (dim2) has no link to the
+    // driver and whose third (hotdim) hashes against the second.
+    "select hot.uniq, dim2.w from hot, dim2",
+    "select hot.uniq, dim2.w, hotdim.name from hot, dim2, hotdim \
+     where dim2.j = hotdim.k and hot.uniq < 700",
+    // A derived table as the driver, and as the build side.
+    "select v.k, v.c, hotdim.name from \
+     (select k, count(*) as c from hot group by k) as v, hotdim where v.k = hotdim.k",
+    "select hot.uniq, v.c from hot, \
+     (select k, count(*) as c from hot group by k) as v where hot.k = v.k",
+    // A constant-false WHERE over a join.
+    "select hot.uniq, hotdim.name from hot, hotdim where hot.k = hotdim.k and 1 = 2",
+    // An empty driver against a non-empty cross level, and the reverse.
+    "select emptyt.v, dim2.w from emptyt, dim2",
+    "select dim2.w, emptyt.v from dim2, emptyt",
 ];
 
 /// Every figure query of the paper workload, at every configuration.

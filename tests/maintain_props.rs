@@ -21,7 +21,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
-use sumtab::{sort_rows, Catalog, Row, SummarySession};
+use sumtab::{sort_rows, Catalog, RouterOptions, Row, SummarySession};
 use sumtab_parser::parse_query;
 
 /// SplitMix64 — tiny, deterministic, good enough for workload shuffling.
@@ -155,6 +155,13 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         let seed = base ^ case.wrapping_mul(0xA076_1D64_78BD_642F);
         let mut rng = Rng(seed);
         let mut s = SummarySession::new();
+        // No latency-feedback probe is ever armed, so routing is the
+        // deterministic cost decision: on these microsecond-scale plans a
+        // probe would race the closing `used_ast` assertion.
+        s.set_router_options(RouterOptions {
+            reroute_threshold: f64::INFINITY,
+            ..RouterOptions::default()
+        });
         s.run_script(SETUP).unwrap();
         let mut next_id = 0i64;
         for step in 0..60 {
