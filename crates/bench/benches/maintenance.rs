@@ -119,8 +119,9 @@ fn main() {
         });
         failpoint::disarm_all();
 
-        // Incremental UPDATE: delete + insert of signed deltas. Target ids
-        // from the middle of the table so every rep hits a live row.
+        // Incremental UPDATE: one merge of the deltas of the removed and the
+        // inserted image. Target ids from the middle of the table so every
+        // rep hits a live row.
         let mut upd = n as u64 / 2;
         let update_incr = median_time(reps, || {
             s.run_script(&format!("update f set v = 3 where id = {upd}"))
@@ -143,10 +144,13 @@ fn main() {
             "{:>8} {:>12.3?} {:>12.3?} {:>12.3?} {:>12.3?} {:>8.1}x",
             n, delete_incr, delete_refresh, update_incr, update_refresh, ratio
         );
+        // |AST| next to |base|: the sweep grows the base table and holds the
+        // backing table at `GROUPS` rows, and the file should say so.
+        let ast_rows = s.session.db.row_count("st");
         records.push(format!(
-            "{{\"rows\": {n}, \"delete_incremental_ns\": {}, \"delete_refresh_ns\": {}, \
-             \"update_incremental_ns\": {}, \"update_refresh_ns\": {}, \
-             \"refresh_over_incremental\": {ratio:.2}}}",
+            "{{\"rows\": {n}, \"ast_rows\": {ast_rows}, \"delete_incremental_ns\": {}, \
+             \"delete_refresh_ns\": {}, \"update_incremental_ns\": {}, \
+             \"update_refresh_ns\": {}, \"refresh_over_incremental\": {ratio:.2}}}",
             delete_incr.as_nanos(),
             delete_refresh.as_nanos(),
             update_incr.as_nanos(),

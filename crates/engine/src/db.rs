@@ -4,11 +4,12 @@
 //! columnar executor read a [`ColumnarTable`]: typed per-column vectors
 //! with a null bitmap and dictionary-encoded strings. A view is built on
 //! first use ([`ColumnarTable::from_rows`], the only from-scratch builder)
-//! and from then on a row-level mutation (`insert`, `remove_rows`,
-//! `replace_rows`) changes both representations with the same positional
-//! operations, so row *i* of `rows()` is row *i* of `columnar()` and the
-//! view survives DML. Replacing a table wholesale (`put_table`,
-//! `drop_table`, `restore_state`) drops its view.
+//! and from then on a row-level mutation (`mutate`, and `insert`,
+//! `remove_rows`, `replace_rows`, which validate and call it) changes both
+//! representations with the same positional operations, so row *i* of
+//! `rows()` is row *i* of `columnar()` and the view survives DML — on a
+//! base table and on a summary's backing table alike. Replacing a table
+//! wholesale (`put_table`, `drop_table`, `restore_state`) drops its view.
 
 use crate::program::Cell;
 use std::collections::HashMap;
@@ -621,7 +622,7 @@ impl Database {
     ) -> Result<usize, DbError> {
         let validated = Database::validate_rows(catalog, table, rows)?;
         let n = validated.len();
-        self.mutate(&table.to_ascii_lowercase(), &[], validated)?;
+        self.mutate(table, &[], validated)?;
         Ok(n)
     }
 
@@ -630,8 +631,7 @@ impl Database {
     /// of rows removed, which is `victims.len()`, or 0 with the table
     /// untouched when some victim has no stored copy.
     pub fn remove_rows(&mut self, table: &str, victims: &[Row]) -> usize {
-        self.mutate(&table.to_ascii_lowercase(), victims, Vec::new())
-            .unwrap_or(0)
+        self.mutate(table, victims, Vec::new()).unwrap_or(0)
     }
 
     /// Replace `old` rows (a multiset) with `new` rows in one mutation:
@@ -647,14 +647,20 @@ impl Database {
         new: Vec<Row>,
     ) -> Result<usize, DbError> {
         let validated = Database::validate_rows(catalog, table, new)?;
-        self.mutate(&table.to_ascii_lowercase(), old, validated)
+        self.mutate(table, old, validated)
     }
 
-    /// The one row-level mutation: remove `removed` (a multiset) from table
-    /// `key` and append `inserted`, in the row store and, when a current
+    /// The one row-level mutation: remove `removed` (a multiset) from
+    /// `table` and append `inserted`, in the row store and, when a current
     /// view of the table is cached, in the view — the same positions, the
     /// same order, so the two stay row-for-row in step. Returns the number
     /// of rows removed.
+    ///
+    /// Nothing is validated, as with [`Database::put_table`]: the caller
+    /// guarantees `inserted` is as wide as the stored rows. It is how a
+    /// summary's backing rows change — with a hidden counter they are wider
+    /// than their catalog schema, so [`Database::replace_rows`] would refuse
+    /// them.
     ///
     /// Every victim is located before anything moves; one that is missing
     /// fails the whole mutation. A removed row's place is taken by the
@@ -663,19 +669,25 @@ impl Database {
     /// stable under removal. The epoch moves iff the row multiset changed,
     /// and the view is re-stamped with it: the next [`Database::columnar`]
     /// is a lookup, not a build.
-    fn mutate(&mut self, key: &str, removed: &[Row], inserted: Vec<Row>) -> Result<usize, DbError> {
+    pub fn mutate(
+        &mut self,
+        table: &str,
+        removed: &[Row],
+        inserted: Vec<Row>,
+    ) -> Result<usize, DbError> {
+        let key = &table.to_ascii_lowercase();
         let before = self.epoch(key);
         let view = view_at(&mut self.columnar, key, before).map(|(_, view)| &**view);
         let stored = self.tables.get(key).map_or(&[][..], Vec::as_slice);
         let positions = locate(stored, view, removed).map_err(|missing| DbError::RowsNotFound {
-            table: key.to_string(),
+            table: key.clone(),
             missing,
         })?;
         if positions.is_empty() && inserted.is_empty() {
             return Ok(0);
         }
         let epoch = self.bump(key);
-        let rows = self.tables.entry(key.to_string()).or_default();
+        let rows = self.tables.entry(key.clone()).or_default();
         for &p in positions.iter().rev() {
             rows.swap_remove(p);
         }
@@ -693,7 +705,9 @@ impl Database {
     }
 
     /// Replace a table's rows wholesale (no validation; caller guarantees
-    /// schema conformance — used by the materializer and generators).
+    /// schema conformance), dropping its columnar view — what
+    /// (re)materializing a summary and the data generators do. A delta goes
+    /// through [`Database::mutate`].
     pub fn put_table(&mut self, table: &str, rows: Vec<Row>) {
         let key = table.to_ascii_lowercase();
         views(&mut self.columnar).remove(&key);
@@ -723,9 +737,10 @@ impl Database {
     }
 
     /// The table's modification epoch: 0 for a never-touched table, bumped
-    /// once by every [`Database::insert`], [`Database::remove_rows`] and
-    /// [`Database::replace_rows`] that changes the row multiset (one that
-    /// removes nothing and inserts nothing leaves it alone), and by every
+    /// once by every [`Database::mutate`] (so every [`Database::insert`],
+    /// [`Database::remove_rows`] and [`Database::replace_rows`]) that
+    /// changes the row multiset (one that removes nothing and inserts
+    /// nothing leaves it alone), and by every
     /// [`Database::put_table`], [`Database::drop_table`] and
     /// [`Database::bump_epoch`].
     pub fn epoch(&self, table: &str) -> u64 {
@@ -733,23 +748,6 @@ impl Database {
             .get(&table.to_ascii_lowercase())
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Snapshot the epochs of a set of tables (sorted, deduplicated), for
-    /// use as a plan-cache validation key. Never-touched tables snapshot at
-    /// 0, matching [`Database::epoch`].
-    pub fn epoch_snapshot<'t>(
-        &self,
-        tables: impl IntoIterator<Item = &'t str>,
-    ) -> std::collections::BTreeMap<String, u64> {
-        tables
-            .into_iter()
-            .map(|t| {
-                let key = t.to_ascii_lowercase();
-                let e = self.epoch(&key);
-                (key, e)
-            })
-            .collect()
     }
 
     /// The columnar view of a table: built on first use, then kept in step

@@ -284,15 +284,6 @@ impl<V> PlanCache<V> {
         self.feedback.entry(key.to_string()).or_default()
     }
 
-    /// Drop every entry, including routing feedback (counters are
-    /// preserved).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.feedback.clear();
-        self.feedback_order.clear();
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -1363,10 +1363,9 @@ impl SummarySession {
 
     /// Run one incremental maintenance step for AST `i` with full gating:
     /// the plan verifier (passes 1–3) in front, the `maintain` failpoint,
-    /// the delta merge itself (delete the pre-images, then append the
-    /// post-images), and — under runtime checks — the recompute-equivalence
-    /// assertion behind. `Err(cause)` on any of them: the caller degrades to
-    /// a full refresh.
+    /// the one delta merge of pre- and post-images, and — under runtime
+    /// checks — the recompute-equivalence assertion behind. `Err(cause)` on
+    /// any of them: the caller degrades to a full refresh.
     fn apply_incremental(
         &mut self,
         i: usize,
@@ -1387,15 +1386,8 @@ impl SummarySession {
             return Err("injected fault: maintain".to_string());
         }
         let db = &mut self.session.db;
-        let mut outcome = DeltaOutcome::Applied;
-        if !removed.is_empty() {
-            outcome = maintain::apply_delete(g, plan, name, table_lc, removed, db)
-                .map_err(|e| e.to_string())?;
-        }
-        if outcome == DeltaOutcome::Applied && !inserted.is_empty() {
-            outcome = maintain::apply_append(g, plan, name, table_lc, inserted, db)
-                .map_err(|e| e.to_string())?;
-        }
+        let outcome = maintain::merge(g, plan, name, table_lc, removed, inserted, db)
+            .map_err(|e| e.to_string())?;
         if let DeltaOutcome::NeedsRefresh(why) = outcome {
             return Err(why);
         }
@@ -1419,7 +1411,7 @@ impl SummarySession {
         let idx = self
             .asts
             .iter()
-            .position(|a| a.ast.name == name)
+            .position(|a| a.ast.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| maintain_err("unknown summary table"))?;
         if failpoint::triggered("refresh") {
             return Err(maintain_err("injected fault: refresh"));
@@ -1517,8 +1509,11 @@ mod tests {
             "answers reflect current data, not the stale summary"
         );
 
-        // Refresh clears the staleness and re-enables routing.
-        s.refresh("st").unwrap();
+        // Refresh clears the staleness and re-enables routing. The name is
+        // matched without regard to case, as `deregister` and the database
+        // match it (a replayed `Refresh` record may differ in case from the
+        // registration).
+        s.refresh("ST").unwrap();
         assert_eq!(s.session.db.row_count("st"), 2);
         let r = s
             .query("select k, count(*) as c from t group by k")

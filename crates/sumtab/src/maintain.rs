@@ -3,21 +3,25 @@
 //!
 //! The paper lists AST maintenance as related problem (c) and defers to
 //! Mumick/Quass/Mumick (SIGMOD'97). This module executes the certificates
-//! produced by [`sumtab_qgm::maintainability`]:
+//! produced by [`sumtab_qgm::maintainability`]. One function, [`merge`],
+//! applies one statement's change to one AST:
 //!
-//! * **Appends** ([`apply_append`]): aggregate only the delta rows and merge
-//!   the result into the materialized groups — `COUNT`/`SUM` add, `MIN`/`MAX`
-//!   take the extremum (the classic insert-only case).
-//! * **Deletes** ([`apply_delete`]): counting-based delta maintenance. The
+//! * **Inserted rows** are aggregated alone and merged into the
+//!   materialized groups — `COUNT`/`SUM` add, `MIN`/`MAX` take the extremum
+//!   (the classic insert-only case); a new group's delta row is its row.
+//! * **Removed rows** go through counting-based delta maintenance. The
 //!   per-group row counter (a projected `COUNT(*)`-equivalent, or the hidden
 //!   one injected at materialization) tracks group liveness: when it reaches
 //!   zero the whole group row is dropped; `COUNT`/`SUM` columns subtract the
 //!   delta; `MIN`/`MAX` columns are *shrink-sensitive* — a delete whose delta
 //!   extremum ties or beats the stored one may have removed the extremum
-//!   itself, which a delta cannot repair, so the apply reports
+//!   itself, which a delta cannot repair, so the merge reports
 //!   [`DeltaOutcome::NeedsRefresh`] and the caller recomputes.
-//! * **Updates**: delete + insert of signed deltas, composed by the facade
-//!   ([`crate::SummarySession`]) from the two primitives above.
+//! * **An UPDATE is both at once**: the counter makes a group's liveness
+//!   decidable from the delta alone, so only the groups the delta touches
+//!   are read, and the result is one row-level [`Database::mutate`] of the
+//!   backing table — its columnar view is maintained in place like a base
+//!   table's. [`apply_append`] and [`apply_delete`] are the one-sided calls.
 //!
 //! Every apply is gated behind the PR 4 plan verifier
 //! ([`verify_maintenance`]) and, in debug builds (or `SUMTAB_VERIFY=1`),
@@ -25,7 +29,7 @@
 //! backing rows must equal a from-scratch recomputation, or the caller
 //! degrades to a refresh.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use sumtab_catalog::{Catalog, Value};
 use sumtab_engine::{execute, Database, Row};
 use sumtab_qgm::{
@@ -178,43 +182,136 @@ pub fn verify_maintenance(
     Ok(())
 }
 
-/// Key ordinals of a plan.
-fn key_ordinals(plan: &MaintenancePlan) -> Vec<usize> {
-    plan.ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| **op == ColumnOp::Key)
-        .map(|(i, _)| i)
-        .collect()
+/// The group-key cells of a backing or delta row.
+fn key_cells<'a>(key_idx: &'a [usize], row: &'a Row) -> impl Iterator<Item = &'a Value> {
+    key_idx.iter().map(move |&k| &row[k])
 }
 
-/// Compute the delta aggregation: the exec graph over a database in which
-/// `table` holds only `delta_rows` (every other table unchanged). Copies
-/// only the tables the graph actually reads — crucially *not* the (large)
-/// maintained fact table, whose contents the delta replaces anyway — so the
-/// cost scales with the dimension tables and the delta, not the base data.
-fn delta_aggregation(
+/// Apply one statement's change to `table` — `removed` rows left it,
+/// `inserted` rows arrived, either may be empty — to the backing rows of
+/// `ast_name` in `db`.
+///
+/// Each side is aggregated through the exec graph over one scratch database
+/// in which `table` holds only that side's rows and every other table the
+/// graph reads is copied from `db` — crucially *not* the (large) maintained
+/// fact table, so the cost scales with the dimension tables and the delta,
+/// not the base data. Every touched group's new row is planned before
+/// anything moves (removed side first, so the same statement can empty a
+/// group and re-create it); the merge then lands as one
+/// [`Database::mutate`]: old group rows out, new ones in, emptied groups
+/// dropped, a group whose merged row equals its stored row left alone.
+///
+/// Reports [`DeltaOutcome::NeedsRefresh`], nothing modified, when the plan
+/// does not certify removals, the backing rows do not line up with the
+/// plan, or the removed side cannot be repaired from the delta (counter
+/// underflow, missing group, a possibly-removed extremum).
+pub fn merge(
     exec_graph: &QgmGraph,
+    plan: &MaintenancePlan,
+    ast_name: &str,
     table: &str,
-    delta_rows: &[Row],
-    db: &Database,
-) -> Result<Vec<Row>, sumtab_engine::ExecError> {
+    removed: &[Row],
+    inserted: &[Row],
+    db: &mut Database,
+) -> Result<DeltaOutcome, sumtab_engine::ExecError> {
+    let refuse = |why: String| Ok(DeltaOutcome::NeedsRefresh(why));
+    let strategy = plan.strategy;
+    let counter = plan
+        .counter
+        .filter(|_| strategy == MaintStrategy::CountingDelta);
+    if counter.is_none() && !removed.is_empty() {
+        return refuse(format!("strategy {strategy} does not certify deletes"));
+    }
+
     let mut delta_db = Database::new();
     for b in &exec_graph.boxes {
-        if let sumtab_qgm::BoxKind::BaseTable { table: t } = &b.kind {
+        if let BoxKind::BaseTable { table: t } = &b.kind {
             if !t.eq_ignore_ascii_case(table) {
                 delta_db.put_table(t, db.rows(t).to_vec());
             }
         }
     }
-    delta_db.put_table(table, delta_rows.to_vec());
-    execute(exec_graph, &delta_db)
+    let mut aggregate = |side: &[Row]| {
+        if side.is_empty() {
+            return Ok(Vec::new());
+        }
+        delta_db.put_table(table, side.to_vec());
+        execute(exec_graph, &delta_db)
+    };
+    let (del, ins) = (aggregate(removed)?, aggregate(inserted)?);
+
+    let (stored_rows, width) = (db.rows(ast_name), plan.ops.len());
+    if let Some(w) = stored_rows.first().map(Vec::len).filter(|&w| w != width) {
+        // Legacy backing data without the hidden counter (or other drift):
+        // a refresh re-materializes through the exec graph.
+        return refuse(format!(
+            "backing rows have {w} columns, plan expects {width}"
+        ));
+    }
+
+    /// One group the delta touches: its aggregated removed and inserted
+    /// rows and the row the backing table holds for it.
+    #[derive(Default)]
+    struct Group<'a> {
+        del: Option<&'a Row>,
+        ins: Option<&'a Row>,
+        stored: Option<&'a Row>,
+    }
+    let key_idx: Vec<usize> = (0..width)
+        .filter(|&c| plan.ops[c] == ColumnOp::Key)
+        .collect();
+    // Keyed by borrowed key cells and ordered, so the mutation below is a
+    // function of the delta, not of the executor's group output order.
+    let mut groups: BTreeMap<Vec<&Value>, Group> = BTreeMap::new();
+    for d in &del {
+        let key = key_cells(&key_idx, d).collect();
+        groups.entry(key).or_default().del = Some(d);
+    }
+    for i in &ins {
+        let key = key_cells(&key_idx, i).collect();
+        groups.entry(key).or_default().ins = Some(i);
+    }
+    let mut probe: Vec<&Value> = Vec::with_capacity(key_idx.len());
+    for row in stored_rows {
+        probe.clear();
+        probe.extend(key_cells(&key_idx, row));
+        if let Some(g) = groups.get_mut(probe.as_slice()) {
+            g.stored = Some(row);
+        }
+    }
+
+    let (mut old_rows, mut new_rows) = (Vec::new(), Vec::new());
+    for g in groups.values() {
+        let mut row = g.stored.cloned();
+        if let (Some(d), Some(cnt)) = (g.del, counter) {
+            row = match subtract(plan, cnt, row, d) {
+                Ok(row) => row,
+                Err(why) => return refuse(why),
+            };
+        }
+        if let Some(i) = g.ins {
+            row = Some(match row {
+                Some(mut row) => {
+                    for (c, op) in plan.ops.iter().enumerate() {
+                        row[c] = merge_value(*op, &row[c], &i[c]);
+                    }
+                    row
+                }
+                None => i.clone(),
+            });
+        }
+        if g.stored != row.as_ref() {
+            old_rows.extend(g.stored.cloned());
+            new_rows.extend(row);
+        }
+    }
+    match db.mutate(ast_name, &old_rows, new_rows) {
+        Ok(_) => Ok(DeltaOutcome::Applied),
+        Err(e) => refuse(e.to_string()),
+    }
 }
 
-/// Apply an append incrementally: aggregate the delta rows and merge them
-/// into the backing rows in `db` under `ast_name`. Reports
-/// [`DeltaOutcome::NeedsRefresh`] (without modifying anything) when the
-/// backing rows do not line up with the plan.
+/// [`merge`] of an append: nothing removed.
 pub fn apply_append(
     exec_graph: &QgmGraph,
     plan: &MaintenancePlan,
@@ -223,47 +320,10 @@ pub fn apply_append(
     delta_rows: &[Row],
     db: &mut Database,
 ) -> Result<DeltaOutcome, sumtab_engine::ExecError> {
-    let delta = delta_aggregation(exec_graph, table, delta_rows, db)?;
-    let mut backing = db.rows(ast_name).to_vec();
-    if let Some(w) = backing.first().map(Vec::len) {
-        if w != plan.ops.len() {
-            // Legacy backing data without the hidden counter (or other
-            // drift): a refresh re-materializes through the exec graph.
-            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                "backing rows have {w} columns, plan expects {}",
-                plan.ops.len()
-            )));
-        }
-    }
-    let key_idx = key_ordinals(plan);
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(backing.len());
-    for (i, row) in backing.iter().enumerate() {
-        index.insert(key_idx.iter().map(|&k| row[k].clone()).collect(), i);
-    }
-    for drow in delta {
-        let key: Vec<Value> = key_idx.iter().map(|&k| drow[k].clone()).collect();
-        match index.get(&key) {
-            Some(&i) => {
-                let row = &mut backing[i];
-                for (c, op) in plan.ops.iter().enumerate() {
-                    row[c] = merge_value(*op, &row[c], &drow[c]);
-                }
-            }
-            None => {
-                index.insert(key, backing.len());
-                backing.push(drow);
-            }
-        }
-    }
-    db.put_table(ast_name, backing);
-    Ok(DeltaOutcome::Applied)
+    merge(exec_graph, plan, ast_name, table, &[], delta_rows, db)
 }
 
-/// Apply a delete through counting-based delta maintenance: aggregate the
-/// removed rows, subtract signed deltas from `COUNT`/`SUM` columns, drop
-/// groups whose liveness counter reaches zero, and refuse (without
-/// modifying anything) whenever a shrink-sensitive extremum might have been
-/// removed or the stored state is inconsistent with the delta.
+/// [`merge`] of a delete: nothing inserted.
 pub fn apply_delete(
     exec_graph: &QgmGraph,
     plan: &MaintenancePlan,
@@ -272,116 +332,66 @@ pub fn apply_delete(
     removed_rows: &[Row],
     db: &mut Database,
 ) -> Result<DeltaOutcome, sumtab_engine::ExecError> {
-    if plan.strategy != MaintStrategy::CountingDelta {
-        return Ok(DeltaOutcome::NeedsRefresh(format!(
-            "strategy {} does not certify deletes",
-            plan.strategy
-        )));
-    }
-    let Some(cnt) = plan.counter else {
-        return Ok(DeltaOutcome::NeedsRefresh(
-            "counting-delta plan without a counter ordinal".to_string(),
-        ));
-    };
-    let delta = delta_aggregation(exec_graph, table, removed_rows, db)?;
-    let mut backing = db.rows(ast_name).to_vec();
-    if let Some(w) = backing.first().map(Vec::len) {
-        if w != plan.ops.len() {
-            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                "backing rows have {w} columns, plan expects {}",
-                plan.ops.len()
-            )));
-        }
-    }
-    let key_idx = key_ordinals(plan);
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(backing.len());
-    for (i, row) in backing.iter().enumerate() {
-        index.insert(key_idx.iter().map(|&k| row[k].clone()).collect(), i);
-    }
+    merge(exec_graph, plan, ast_name, table, removed_rows, &[], db)
+}
 
-    // Plan the whole merge before touching `backing`, so a refusal midway
-    // leaves the stored state untouched.
-    let mut drop = vec![false; backing.len()];
-    let mut merged: Vec<(usize, Row)> = Vec::with_capacity(delta.len());
-    for drow in &delta {
-        let key: Vec<Value> = key_idx.iter().map(|&k| drow[k].clone()).collect();
-        let Some(&i) = index.get(&key) else {
-            return Ok(DeltaOutcome::NeedsRefresh(
-                "deleted rows belong to a group missing from the backing table".to_string(),
-            ));
-        };
-        let row = &backing[i];
-        // Group-liveness arithmetic decides removal before anything else:
-        // a vanishing group needs no per-column repair.
-        let (Value::Int(old_n), Value::Int(del_n)) = (&row[cnt], &drow[cnt]) else {
-            return Ok(DeltaOutcome::NeedsRefresh(
-                "group counter is not an integer".to_string(),
-            ));
-        };
-        let new_n = old_n - del_n;
-        if new_n < 0 {
-            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                "counter underflow: {old_n} stored rows, {del_n} deleted"
-            )));
-        }
-        if new_n == 0 {
-            drop[i] = true;
-            continue;
-        }
-        // Shrink detection: if the delta's extremum ties or beats the
-        // stored one, the stored extremum may be among the deleted rows.
-        for &s in &plan.shrink_sensitive {
-            let stored = &row[s];
-            let deleted = &drow[s];
-            if *deleted == Value::Null {
-                continue; // only NULLs deleted in this column: extrema ignore them
-            }
-            if *stored == Value::Null {
-                return Ok(DeltaOutcome::NeedsRefresh(format!(
-                    "stored extremum NULL but deleted rows carry values (column {s})"
-                )));
-            }
-            let shrinks = match plan.ops[s] {
-                ColumnOp::Min => deleted <= stored,
-                ColumnOp::Max => deleted >= stored,
-                _ => false,
-            };
-            if shrinks {
-                return Ok(DeltaOutcome::NeedsRefresh(format!(
-                    "delete removes the stored extremum of column {s}"
-                )));
-            }
-        }
-        // Signed subtraction for COUNT/SUM; keys and surviving extrema stay.
-        let mut new_row = row.clone();
-        for (c, op) in plan.ops.iter().enumerate() {
-            match op {
-                ColumnOp::Count { .. } | ColumnOp::Sum { .. } => {
-                    match sub_value(&new_row[c], &drow[c]) {
-                        Some(v) => new_row[c] = v,
-                        None => {
-                            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                                "cannot subtract delta from column {c}"
-                            )))
-                        }
-                    }
-                }
-                ColumnOp::Key | ColumnOp::Min | ColumnOp::Max => {}
-            }
-        }
-        merged.push((i, new_row));
+/// Counting-based removal of the aggregated delta row `deleted` from its
+/// group's `stored` row: `Ok(None)` when the liveness counter `cnt` reaches
+/// zero (the group vanishes), otherwise the row with signed deltas
+/// subtracted from its `COUNT`/`SUM` columns; keys and surviving extrema
+/// stay. `Err(why)` whenever the stored state is inconsistent with the
+/// delta or a shrink-sensitive extremum might have been removed — a delta
+/// cannot repair either.
+fn subtract(
+    plan: &MaintenancePlan,
+    cnt: usize,
+    stored: Option<Row>,
+    deleted: &Row,
+) -> Result<Option<Row>, String> {
+    let Some(mut stored) = stored else {
+        return Err("deleted rows belong to a group missing from the backing table".to_string());
+    };
+    // Group-liveness arithmetic decides removal before anything else: a
+    // vanishing group needs no per-column repair.
+    let (Value::Int(old_n), Value::Int(del_n)) = (&stored[cnt], &deleted[cnt]) else {
+        return Err("group counter is not an integer".to_string());
+    };
+    if old_n < del_n {
+        return Err(format!(
+            "counter underflow: {old_n} stored rows, {del_n} deleted"
+        ));
     }
-    for (i, row) in merged {
-        backing[i] = row;
+    if old_n == del_n {
+        return Ok(None);
     }
-    let backing: Vec<Row> = backing
-        .into_iter()
-        .zip(drop)
-        .filter(|(_, d)| !d)
-        .map(|(r, _)| r)
-        .collect();
-    db.put_table(ast_name, backing);
-    Ok(DeltaOutcome::Applied)
+    // Shrink detection: if the delta's extremum ties or beats the stored
+    // one, the stored extremum may be among the deleted rows.
+    for &s in &plan.shrink_sensitive {
+        let (kept, gone) = (&stored[s], &deleted[s]);
+        if *gone == Value::Null {
+            continue; // only NULLs deleted in this column: extrema ignore them
+        }
+        if *kept == Value::Null {
+            return Err(format!(
+                "stored extremum NULL but deleted rows carry values (column {s})"
+            ));
+        }
+        let shrinks = match plan.ops[s] {
+            ColumnOp::Min => gone <= kept,
+            ColumnOp::Max => gone >= kept,
+            _ => false,
+        };
+        if shrinks {
+            return Err(format!("delete removes the stored extremum of column {s}"));
+        }
+    }
+    for (c, op) in plan.ops.iter().enumerate() {
+        if matches!(op, ColumnOp::Count { .. } | ColumnOp::Sum { .. }) {
+            stored[c] = sub_value(&stored[c], &deleted[c])
+                .ok_or_else(|| format!("cannot subtract delta from column {c}"))?;
+        }
+    }
+    Ok(Some(stored))
 }
 
 /// Recompute-equivalence assertion: the maintained backing rows must be a
@@ -429,35 +439,16 @@ pub fn check_equivalence(
 }
 
 fn merge_value(op: ColumnOp, current: &Value, delta: &Value) -> Value {
-    match op {
-        ColumnOp::Key => current.clone(),
-        ColumnOp::Count { .. } | ColumnOp::Sum { .. } => match (current, delta) {
-            (Value::Null, d) => d.clone(),
-            (c, Value::Null) => c.clone(),
-            (c, d) => sumtab_engine::eval::eval_binary(sumtab_qgm::BinOp::Add, c, d),
-        },
-        ColumnOp::Min => match (current, delta) {
-            (Value::Null, d) => d.clone(),
-            (c, Value::Null) => c.clone(),
-            (c, d) => {
-                if d < c {
-                    d.clone()
-                } else {
-                    c.clone()
-                }
-            }
-        },
-        ColumnOp::Max => match (current, delta) {
-            (Value::Null, d) => d.clone(),
-            (c, Value::Null) => c.clone(),
-            (c, d) => {
-                if d > c {
-                    d.clone()
-                } else {
-                    c.clone()
-                }
-            }
-        },
+    use sumtab_engine::eval::eval_binary;
+    match (op, current, delta) {
+        (ColumnOp::Key, c, _) | (_, c, Value::Null) => c.clone(),
+        (_, Value::Null, d) => d.clone(),
+        (ColumnOp::Count { .. } | ColumnOp::Sum { .. }, c, d) => {
+            eval_binary(sumtab_qgm::BinOp::Add, c, d)
+        }
+        // On a tie both keep the stored cell.
+        (ColumnOp::Min, c, d) => c.min(d).clone(),
+        (ColumnOp::Max, c, d) => d.max(c).clone(),
     }
 }
 
@@ -468,7 +459,11 @@ fn sub_value(current: &Value, delta: &Value) -> Option<Value> {
     match (current, delta) {
         (c, Value::Null) => Some(c.clone()),
         (Value::Null, _) => None,
-        (c, d) => Some(sumtab_engine::eval::eval_binary(sumtab_qgm::BinOp::Sub, c, d)),
+        (c, d) => Some(sumtab_engine::eval::eval_binary(
+            sumtab_qgm::BinOp::Sub,
+            c,
+            d,
+        )),
     }
 }
 
@@ -580,10 +575,7 @@ mod tests {
     #[test]
     fn verify_rejects_drifted_plans() {
         let cat = Catalog::credit_card_sample();
-        let g = graph_of(
-            "select faid, count(*) as c from trans group by faid",
-            &cat,
-        );
+        let g = graph_of("select faid, count(*) as c from trans group by faid", &cat);
         let m = analyze_ast(&g, &cat);
         let mut plan = m.plan_for("trans").unwrap();
         plan.ops.push(ColumnOp::Key);

@@ -20,9 +20,13 @@
 //! Seeds are deterministic but overridable via `SUMTAB_MAINTAIN_SEED`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use sumtab::maintain::{self, DeltaOutcome};
+use sumtab::persist::WalRecord;
 use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
-use sumtab::{sort_rows, Catalog, RouterOptions, Row, SummarySession};
-use sumtab_parser::parse_query;
+use sumtab::{sort_rows, Applied, Catalog, RouterOptions, Row, SummarySession};
+use sumtab_parser::{parse_query, parse_statements};
 
 /// SplitMix64 — tiny, deterministic, good enough for workload shuffling.
 struct Rng(u64);
@@ -148,6 +152,20 @@ fn answer(s: &mut SummarySession, probe: &str) -> Vec<Row> {
     sort_rows(s.query(probe).unwrap().rows)
 }
 
+/// The change record one DML statement means (`None` when it matches no
+/// row), as `run_script` resolves it.
+fn record_of(s: &SummarySession, sql: &str) -> Option<WalRecord> {
+    s.resolve(&parse_statements(sql).unwrap()[0]).unwrap().1
+}
+
+/// Run one DML statement as `run_script` does, keeping what `apply` reports.
+fn run_dml(s: &mut SummarySession, sql: &str) -> Applied {
+    match record_of(s, sql) {
+        Some(rec) => s.apply(&rec).unwrap().into_result().unwrap(),
+        None => Applied::default(),
+    }
+}
+
 #[test]
 fn random_mixed_scripts_stay_byte_identical_to_recompute() {
     let base = base_seed();
@@ -164,9 +182,22 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         });
         s.run_script(SETUP).unwrap();
         let mut next_id = 0i64;
+        let mut merged = BTreeSet::new();
+        // A merge is a row-level mutation of the backing table: its columnar
+        // view is maintained in place, not dropped and rebuilt.
+        let view = |s: &SummarySession, name: &str| Arc::as_ptr(&s.session.db.columnar(name));
         for step in 0..60 {
             let stmt = gen_stmt(&mut rng, &mut next_id);
-            s.run_script(&stmt).unwrap();
+            let views: Vec<_> = SUMMARIES.iter().map(|n| view(&s, n)).collect();
+            for name in run_dml(&mut s, &stmt).maintained {
+                let i = SUMMARIES.iter().position(|n| **n == name).unwrap();
+                assert_eq!(
+                    views[i],
+                    view(&s, &name),
+                    "seed {seed:#x} step {step}: `{stmt}` rebuilt the view of `{name}`"
+                );
+                merged.insert(name);
+            }
             for probe in PROBES {
                 let expected = recompute(&mut s, probe);
                 let got = answer(&mut s, probe);
@@ -176,6 +207,10 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                 );
             }
         }
+        // Every certified shape merged at least once — `s_hidden` with rows
+        // wider than its catalog schema; `s_nested` never.
+        let certified: BTreeSet<String> = SUMMARIES[..5].iter().map(|n| n.to_string()).collect();
+        assert_eq!(merged, certified, "seed {seed:#x}");
         // Every summary must still be fresh enough to serve its own
         // definition (maintained or refreshed — never silently stale).
         for name in SUMMARIES {
@@ -192,6 +227,118 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
             Some("s_nested"),
             "seed {seed:#x}"
         );
+    }
+}
+
+/// The UPDATE shapes one merge has to get right, through the session and
+/// against the two-call pattern (`apply_delete` then `apply_append` on a
+/// scratch database) the merge replaced: same refusals, same row multiset.
+#[test]
+fn update_shapes_merge_once_and_match_recompute() {
+    struct Case {
+        sql: &'static str,
+        /// Summaries whose delete half cannot be repaired from the delta.
+        refused: &'static [&'static str],
+        /// Summaries whose merged rows equal their stored rows.
+        untouched: &'static [&'static str],
+    }
+    const COUNTING: [&str; 4] = ["s_counting", "s_hidden", "s_extrema", "s_joined"];
+    let cases = [
+        // A row moves from group d=0 to d=1 (both map to grp 0 in `dim`).
+        Case {
+            sql: "update f set d = 1 where id = 2",
+            refused: &[],
+            untouched: &["s_joined"],
+        },
+        // id 6 is all of d=2 (and of grp 1): the removed side empties the
+        // group, the inserted side re-creates it.
+        Case {
+            sql: "update f set v = 61 where id = 6",
+            refused: &[],
+            untouched: &[],
+        },
+        // No summary reads `id`, and v=40 is no extremum of d=1.
+        Case {
+            sql: "update f set id = 40 where id = 4",
+            refused: &[],
+            untouched: &COUNTING,
+        },
+        // v=20 is the stored MIN of d=1, which keeps two other rows.
+        Case {
+            sql: "update f set v = 5 where id = 2",
+            refused: &["s_extrema"],
+            untouched: &[],
+        },
+    ];
+    let mut s = SummarySession::new();
+    s.run_script(SETUP).unwrap();
+    s.run_script(
+        "insert into f values (1, 0, 10, 1), (2, 0, 20, 2), (3, 0, 30, 3),
+                              (4, 1, 40, 4), (5, 1, 50, 5), (6, 2, 60, 6);",
+    )
+    .unwrap();
+    for Case {
+        sql,
+        refused,
+        untouched,
+    } in cases
+    {
+        let rec = record_of(&s, sql).unwrap();
+        let WalRecord::Update {
+            old_rows, new_rows, ..
+        } = &rec
+        else {
+            panic!("`{sql}` resolved to {rec:?}");
+        };
+        let mut after = s.session.db.clone();
+        after
+            .replace_rows(&s.session.catalog, "f", old_rows, new_rows.clone())
+            .unwrap();
+        for name in COUNTING {
+            let m = s.maintainability(name).unwrap();
+            let (g, plan) = (&m.exec_graph, m.plan_for("f").unwrap());
+            let (mut once, mut twice) = (after.clone(), after.clone());
+            let merged = maintain::merge(g, &plan, name, "f", old_rows, new_rows, &mut once);
+            let mut two_calls = maintain::apply_delete(g, &plan, name, "f", old_rows, &mut twice);
+            if two_calls == Ok(DeltaOutcome::Applied) {
+                two_calls = maintain::apply_append(g, &plan, name, "f", new_rows, &mut twice);
+            }
+            assert_eq!(merged, two_calls, "`{sql}` on {name}");
+            let stored = |db: &sumtab::Database| (db.rows(name).to_vec(), db.epoch(name));
+            if refused.contains(&name) {
+                assert!(
+                    matches!(merged, Ok(DeltaOutcome::NeedsRefresh(_))),
+                    "`{sql}` on {name}: {merged:?}"
+                );
+                assert_eq!(stored(&once), stored(&after), "a refusal modified {name}");
+                continue;
+            }
+            assert_eq!(merged, Ok(DeltaOutcome::Applied), "`{sql}` on {name}");
+            assert_eq!(
+                sort_rows(once.rows(name).to_vec()),
+                sort_rows(twice.rows(name).to_vec()),
+                "`{sql}` on {name}"
+            );
+            maintain::check_equivalence(g, name, &once).unwrap();
+            if untouched.contains(&name) {
+                assert_eq!(stored(&once), stored(&after), "`{sql}` rewrote {name}");
+            }
+        }
+        let applied = s.apply(&rec).unwrap().into_result().unwrap();
+        assert_eq!(applied.refreshed, refused, "`{sql}`");
+        for name in COUNTING.iter().filter(|n| !refused.contains(n)) {
+            assert!(
+                applied.maintained.iter().any(|m| m == name),
+                "`{sql}`: {name}"
+            );
+        }
+        for probe in PROBES {
+            assert_eq!(
+                answer(&mut s, probe),
+                recompute(&mut s, probe),
+                "`{sql}`: {probe}"
+            );
+        }
     }
 }
 
