@@ -1,23 +1,30 @@
-//! Epoch-keyed plan cache.
+//! Generation- and epoch-validated cache.
 //!
 //! Matching a query against every registered AST is the expensive part of
 //! the paper's compile path; once a query has been planned, re-planning the
 //! same query is pure waste *as long as nothing it depends on changed*. The
-//! cache maps a canonical query fingerprint (`sumtab-qgm::graph_fingerprint`)
-//! to an arbitrary planning result, validated on every lookup against
+//! cache maps a key (typically a canonical query fingerprint,
+//! `sumtab-qgm::graph_fingerprint`) to an arbitrary value, validated on
+//! every lookup against
 //!
-//! * an **epoch snapshot**: the [`Database`](crate::Database) modification
-//!   epoch of every table the plan depends on (the query's base tables, the
-//!   candidate ASTs' base tables, and the AST backing tables), captured when
-//!   the plan was stored. Any table mutation bumps its epoch, so a stale
-//!   entry can never be returned; and
 //! * a **generation** counter supplied by the owner, bumped whenever the
 //!   *set* of candidate ASTs or the match-relevant catalog metadata changes
-//!   (a new AST registration, a new table, a new RI constraint) — events
-//!   that can change the planning outcome without touching any table data.
+//!   (a new AST registration, a new table, a new RI constraint) — the only
+//!   events that can change a match outcome; and
+//! * an **epoch snapshot**: the [`Database`](crate::Database) modification
+//!   epoch of every table the value depends on, captured when it was
+//!   stored. Any table mutation bumps its epoch, so a value derived from
+//!   table *data* can never be returned stale.
+//!
+//! The owner picks the snapshot per use. Match outcomes depend on no table
+//! data, so `SummarySession` stores its plans (and its SQL-text →
+//! fingerprint memo) under an *empty* snapshot — validated by generation
+//! alone, they survive DML — and re-derives the data-dependent routing on
+//! every lookup. Its result cache, whose values are rows, keys on the
+//! epochs of every table the plan can read.
 //!
 //! Stale entries are removed on discovery (counted as invalidations).
-//! Capacity is bounded with FIFO eviction: plan values are small and the
+//! Capacity is bounded with FIFO eviction: values are small and the
 //! workload is "same dashboard queries repeated", where FIFO ≈ LRU without
 //! the bookkeeping.
 //!
@@ -208,6 +215,16 @@ impl<V> PlanCache<V> {
         );
     }
 
+    /// Drop every entry and all feedback, and hold at most `capacity`
+    /// entries (minimum 1) from now on. The cumulative [`CacheStats`] carry
+    /// over, so a caller diffing them across the resize stays consistent.
+    pub fn resize(&mut self, capacity: usize) {
+        *self = PlanCache {
+            stats: self.stats,
+            ..PlanCache::new(capacity)
+        };
+    }
+
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -381,6 +398,23 @@ mod tests {
         assert!(c.feedback("a", 0).is_none(), "oldest evicted");
         assert!(c.feedback("b", 0).is_some());
         assert!(c.feedback("c", 0).is_some());
+    }
+
+    #[test]
+    fn resize_drops_entries_and_keeps_stats() {
+        let mut c: PlanCache<u32> = PlanCache::new(4);
+        let e = BTreeMap::new();
+        c.store("a".into(), e.clone(), 0, 1);
+        assert_eq!(c.lookup("a", &e, 0), Some(&1));
+        c.observe_latency("a", 0, RouteChoice::Base, 1.0);
+        let before = c.stats();
+        c.resize(1);
+        assert_eq!(c.stats(), before, "cumulative counters survive");
+        assert!(c.is_empty());
+        assert!(c.feedback("a", 0).is_none());
+        c.store("b".into(), e.clone(), 0, 2);
+        c.store("c".into(), e.clone(), 0, 3);
+        assert_eq!(c.len(), 1, "new capacity applies");
     }
 
     #[test]

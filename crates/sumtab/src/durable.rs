@@ -243,7 +243,7 @@ impl DurableSession {
         if had_prior_state {
             // No plan cached by the pre-crash process may ever validate
             // against the recovered session, even though replay reproduces
-            // its epochs exactly.
+            // its generation and epochs exactly.
             inner.bump_plan_generation();
         }
 

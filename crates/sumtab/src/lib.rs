@@ -78,7 +78,7 @@ pub use sumtab_matcher::{
 };
 pub use sumtab_qgm::{build_query, graph_fingerprint, render_graph_sql, QgmGraph};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use sumtab_engine::session::{literal_rows, table_from_ddl, StatementResult};
@@ -305,16 +305,43 @@ pub struct MaintenanceNote {
     pub obstructions: Vec<String>,
 }
 
-/// Both alternatives the router chooses between for one fingerprint, with
-/// their cost estimates — the unit the session plan cache stores. Caching
-/// the *pair* (rather than the chosen plan) is what lets a feedback
-/// re-route flip a cached entry without re-running the matcher, and what
-/// makes a cost-*rejected* match cheap on repetition: an F5-shaped query
-/// hits this entry and re-serves the base plan with zero navigator runs.
-#[derive(Debug, Clone)]
-struct RoutedPlan {
+/// Greedy-loop state (the ASTs already applied, in order) → AST name → that
+/// AST's outcome against the graph the state denotes.
+type MatchMemo = HashMap<Vec<String>, HashMap<String, CandidateOutcome>>;
+
+/// What the session plan cache stores for one fingerprint: the base graph
+/// plus a memo of match outcomes. Whether an AST subsumes a query depends
+/// only on the two definitions and the catalog, so an entry is validated by
+/// [`SummarySession::plan_generation`] alone and survives DML; everything
+/// data-dependent (staleness, costs, the routing decision) is re-derived
+/// from it on every lookup by [`SummarySession::compute_routed_plan`].
+struct PlanEntry {
     /// The un-rewritten plan.
     base: QgmGraph,
+    /// Filled lazily by the planning loop: an outcome is stored the first
+    /// time the loop needs it, so an AST that was stale when the entry was
+    /// created is matched when it first turns fresh. Every stored outcome
+    /// already passed the matcher's verifier gates.
+    memo: Mutex<MatchMemo>,
+}
+
+impl PlanEntry {
+    fn new(base: QgmGraph) -> PlanEntry {
+        PlanEntry {
+            base,
+            memo: Mutex::new(MatchMemo::new()),
+        }
+    }
+}
+
+/// One lookup's routing inputs, derived from a [`PlanEntry`] at current
+/// epochs and row counts: the base plan's cost, the best rewrite and the
+/// skipped ASTs. Never cached — a feedback re-route or a DML that changes
+/// a cost or a staleness verdict is seen on the next lookup, while a
+/// cost-*rejected* match still re-serves the base plan with zero navigator
+/// runs.
+#[derive(Debug, Clone)]
+struct RoutedPlan {
     /// Estimated cost of the base plan.
     base_cost: PlanCost,
     /// The best rewrite, when any AST matched.
@@ -345,15 +372,13 @@ struct FeedbackCtx {
     est_total: f64,
 }
 
-/// A fully routed plan: the detail to execute, plus the cache/feedback
+/// A fully routed plan: the detail to execute, plus the feedback
 /// bookkeeping `query` needs afterwards.
 struct Routed {
     detail: PlanDetail,
-    /// Fingerprint + epoch snapshot; `None` under fault injection (both
-    /// the plan cache and the result cache are bypassed).
-    key: Option<(String, BTreeMap<String, u64>)>,
-    /// Present only when a rewrite alternative exists (feedback on a
-    /// no-choice plan is meaningless).
+    /// Present only when a rewrite alternative exists and the query has a
+    /// fingerprint (feedback on a no-choice plan is meaningless, and fault
+    /// injection bypasses every cache).
     feedback: Option<FeedbackCtx>,
 }
 
@@ -385,8 +410,9 @@ fn ast_def_err(sql: &str, e: AstDefError) -> SumtabError {
     }
 }
 
-/// Plans a session keeps cached; small — a `RoutedPlan` is two graphs plus
-/// a few strings — and bounded, so a long-lived session cannot grow without
+/// Plans a session keeps cached, and SQL texts it remembers the fingerprint
+/// of; small — a `PlanEntry` is the base graph plus one rewritten graph per
+/// matching AST — and bounded, so a long-lived session cannot grow without
 /// limit on a stream of distinct queries.
 const PLAN_CACHE_CAPACITY: usize = 256;
 
@@ -395,10 +421,10 @@ const PLAN_CACHE_CAPACITY: usize = 256;
 /// [`SummarySession::set_result_cache_capacity`] resizes, `0` disables.
 const RESULT_CACHE_CAPACITY: usize = 16;
 
-/// Lock a session cache, recovering from poisoning (the caches hold no
-/// invariants a panicking reader could break — entries are validated on
-/// every lookup anyway).
-fn lock_cache<V>(m: &Mutex<PlanCache<V>>) -> MutexGuard<'_, PlanCache<V>> {
+/// Lock a session cache or memo, recovering from poisoning (they hold no
+/// invariants a panicking reader could break — cache entries are validated
+/// on every lookup anyway, and a memo only ever gains verified outcomes).
+fn lock_cache<V>(m: &Mutex<V>) -> MutexGuard<'_, V> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -411,22 +437,28 @@ fn lock_cache<V>(m: &Mutex<PlanCache<V>>) -> MutexGuard<'_, PlanCache<V>> {
 /// with the rewriter; `query` then routes each statement through the
 /// matching algorithm, picking the smallest matching AST.
 ///
-/// Planning is cached: a repeated query whose relevant tables are at
-/// unchanged epochs (and whose AST/catalog generation is unchanged) is
-/// served from the session plan cache without running the matcher at all.
+/// Matching is done once per catalog: a query's match outcomes are cached
+/// per fingerprint and stay valid until the AST/catalog generation moves,
+/// whatever DML happens in between. Each lookup re-derives only what data
+/// can change — staleness, costs and the routing decision — so a repeated
+/// query runs the matcher again only for an AST it has not yet been matched
+/// against (one that was stale until now).
 pub struct SummarySession {
     /// The underlying engine session (catalog + data).
     pub session: Session,
     asts: Vec<AstState>,
     registration_failures: Vec<(String, String)>,
-    /// Fingerprint → routed plan pair (base + best rewrite, with costs),
-    /// validated per lookup by epoch snapshot and
-    /// [`SummarySession::plan_generation`]. Also carries the routing
-    /// feedback sidecar (generation-validated only).
-    plan_cache: Mutex<PlanCache<Arc<RoutedPlan>>>,
-    /// Fingerprint → complete [`QueryResult`], validated by the *same*
-    /// epoch snapshot and generation as the plan cache: any mutation of a
-    /// table the plan can depend on invalidates the cached result.
+    /// SQL text → fingerprint, validated by
+    /// [`SummarySession::plan_generation`] alone, so an exact repeat skips
+    /// parse, build and fingerprint.
+    text_memo: Mutex<PlanCache<String>>,
+    /// Fingerprint → [`PlanEntry`] (base graph + match-outcome memo),
+    /// validated by [`SummarySession::plan_generation`] alone. Also carries
+    /// the routing feedback sidecar (generation-validated as well).
+    plan_cache: Mutex<PlanCache<Arc<PlanEntry>>>,
+    /// Fingerprint → complete [`QueryResult`], validated by generation and
+    /// an epoch snapshot of every table the plan can depend on: any
+    /// mutation of such a table invalidates the cached result.
     result_cache: Mutex<PlanCache<QueryResult>>,
     /// `0` disables result caching entirely.
     result_cache_capacity: usize,
@@ -449,6 +481,7 @@ impl Default for SummarySession {
             session: Session::default(),
             asts: Vec::new(),
             registration_failures: Vec::new(),
+            text_memo: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
             plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
             result_cache: Mutex::new(PlanCache::new(RESULT_CACHE_CAPACITY)),
             result_cache_capacity: RESULT_CACHE_CAPACITY,
@@ -559,16 +592,18 @@ impl SummarySession {
     }
 
     /// The current plan-cache generation: bumped by AST registration and by
-    /// DDL that can change match outcomes. Cached plans from earlier
-    /// generations are invalidated on lookup.
+    /// DDL that can change match outcomes. Cached plans (and remembered
+    /// fingerprints) from earlier generations are invalidated on lookup;
+    /// nothing else invalidates them.
     pub fn plan_generation(&self) -> u64 {
         self.ast_generation
     }
 
     /// Force-advance the plan-cache generation, invalidating every cached
-    /// plan on its next lookup. Crash recovery calls this after replay so a
+    /// plan on its next lookup, so the next planning of any query runs the
+    /// matcher from scratch. Crash recovery calls this after replay so a
     /// plan cached by the pre-crash process can never validate against the
-    /// recovered session, whatever epochs replay reproduced.
+    /// recovered session.
     pub fn bump_plan_generation(&mut self) {
         self.ast_generation += 1;
     }
@@ -583,14 +618,15 @@ impl SummarySession {
         lock_cache(&self.result_cache).stats()
     }
 
-    /// Resize the result cache (dropping its contents); `0` disables
-    /// result caching. Results are validated like plans — same fingerprint,
-    /// same epoch snapshot, same generation — so a cached result can never
-    /// survive a mutation of any table its plan depends on, and fault
-    /// injection bypasses the cache entirely.
+    /// Resize the result cache (dropping its contents, keeping its
+    /// cumulative statistics); `0` disables result caching. A result is
+    /// validated by fingerprint, generation and an epoch snapshot of every
+    /// table its plan can depend on, so a cached result can never survive a
+    /// mutation of any such table, and fault injection bypasses the cache
+    /// entirely.
     pub fn set_result_cache_capacity(&mut self, n: usize) {
         self.result_cache_capacity = n;
-        *lock_cache(&self.result_cache) = PlanCache::new(n.max(1));
+        lock_cache(&self.result_cache).resize(n.max(1));
     }
 
     /// The configured result-cache capacity (`0` = disabled).
@@ -599,7 +635,7 @@ impl SummarySession {
     }
 
     /// Replace the router tunables (cost policy + feedback threshold).
-    /// Takes effect on the next planning decision — cached plan *pairs*
+    /// Takes effect on the next planning decision — cached plan entries
     /// stay valid because the decision is re-derived on every lookup.
     pub fn set_router_options(&mut self, opts: RouterOptions) {
         self.router = opts;
@@ -844,65 +880,94 @@ impl SummarySession {
     ///
     /// Fast paths, in order:
     ///
-    /// 1. **Plan cache** — a query with the same canonical fingerprint
-    ///    ([`graph_fingerprint`]) planned at the same table epochs and
-    ///    generation returns its cached plan *pair* without any match
-    ///    attempt — including when the cached decision was "use the base
-    ///    plan": a cost-rejected match is not re-derived and re-rejected.
-    ///    Fault injection ([`failpoint::any_armed`]) bypasses the cache
-    ///    entirely so injected outcomes are never stored or served.
-    /// 2. **Signature filter** — surviving cache misses run each candidate
-    ///    through [`Rewriter::rewrite_candidates`], which rejects
+    /// 1. **Text memo** — an exact repeat of a SQL text seen at the current
+    ///    generation skips parse, build and fingerprint.
+    /// 2. **Plan cache** — a query with the same canonical fingerprint
+    ///    ([`graph_fingerprint`]) planned at the same generation reuses its
+    ///    cached base graph and match outcomes: the planning loop below
+    ///    runs over them without any match attempt, whatever DML happened
+    ///    since — including when the decision is "use the base plan": a
+    ///    cost-rejected match is re-costed, not re-matched. Only an AST the
+    ///    entry has no outcome for yet (one that was stale until now) is
+    ///    matched. Fault injection ([`failpoint::any_armed`]) bypasses both
+    ///    so injected outcomes are never stored or served.
+    /// 3. **Signature filter** — those missing outcomes come from
+    ///    [`Rewriter::rewrite_candidates`], which rejects
     ///    provably-unmatchable ASTs by signature and fans the rest out
     ///    across threads, with deterministic result order.
     ///
-    /// The routing decision itself is *derived on every call* from the
-    /// cached pair, current [`RouterOptions`], and any runtime feedback —
-    /// so a feedback re-route flips a cached entry in place.
+    /// Everything data can change is *derived on every call*: the
+    /// staleness gate, the cheapest-match pick on current row counts, and
+    /// the routing decision from current [`RouterOptions`] and any runtime
+    /// feedback — so a feedback re-route flips a cached entry in place.
     pub fn plan_detail(&self, sql: &str) -> Result<PlanDetail, SumtabError> {
-        self.route(sql).map(|r| r.detail)
+        let (entry, fp) = self.plan_entry(sql)?;
+        Ok(self.route(&entry, fp.as_deref()).detail)
     }
 
-    /// Plan + route a query; the internal entry point shared by
-    /// [`SummarySession::plan_detail`] and [`SummarySession::query`].
-    fn route(&self, sql: &str) -> Result<Routed, SumtabError> {
-        let q = parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
-        let base_graph =
-            build_query(&q, &self.session.catalog).map_err(|e| SumtabError::plan(sql, e))?;
-
-        let key = if failpoint::any_armed() {
-            None
+    /// The plan entry for a query and its fingerprint; the front half of
+    /// planning shared by [`SummarySession::plan_detail`] and
+    /// [`SummarySession::query`]. Makes exactly one plan-cache lookup, and
+    /// none under fault injection, which yields a fresh entry and no
+    /// fingerprint (so nothing keyed by it is stored or served).
+    fn plan_entry(&self, sql: &str) -> Result<(Arc<PlanEntry>, Option<String>), SumtabError> {
+        let parse_build = || {
+            let q = parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
+            build_query(&q, &self.session.catalog).map_err(|e| SumtabError::plan(sql, e))
+        };
+        if failpoint::any_armed() {
+            Ok((Arc::new(PlanEntry::new(parse_build()?)), None))
         } else {
-            let fp = graph_fingerprint(&base_graph);
-            let snap = self.plan_epoch_snapshot(&base_graph);
-            Some((fp, snap))
-        };
-        let routed: Arc<RoutedPlan> = match &key {
-            Some((fp, snap)) => {
-                let cached = lock_cache(&self.plan_cache)
-                    .lookup(fp, snap, self.ast_generation)
-                    .cloned();
-                match cached {
-                    Some(r) => r,
-                    None => {
-                        let r = Arc::new(self.compute_routed_plan(base_graph));
-                        lock_cache(&self.plan_cache).store(
-                            fp.clone(),
-                            snap.clone(),
-                            self.ast_generation,
-                            Arc::clone(&r),
-                        );
-                        r
-                    }
+            let generation = self.ast_generation;
+            let remembered = lock_cache(&self.text_memo)
+                .lookup(sql, &BTreeMap::new(), generation)
+                .cloned();
+            let (fp, built) = match remembered {
+                Some(fp) => (fp, None),
+                None => {
+                    let g = parse_build()?;
+                    let fp = graph_fingerprint(&g);
+                    lock_cache(&self.text_memo).store(
+                        sql.to_string(),
+                        BTreeMap::new(),
+                        generation,
+                        fp.clone(),
+                    );
+                    (fp, Some(g))
                 }
-            }
-            None => Arc::new(self.compute_routed_plan(base_graph)),
-        };
+            };
+            let cached = lock_cache(&self.plan_cache)
+                .lookup(&fp, &BTreeMap::new(), generation)
+                .cloned();
+            let entry = match cached {
+                Some(e) => e,
+                None => {
+                    let base = match built {
+                        Some(g) => g,
+                        None => parse_build()?,
+                    };
+                    let e = Arc::new(PlanEntry::new(base));
+                    lock_cache(&self.plan_cache).store(
+                        fp.clone(),
+                        BTreeMap::new(),
+                        generation,
+                        Arc::clone(&e),
+                    );
+                    e
+                }
+            };
+            Ok((entry, Some(fp)))
+        }
+    }
 
-        let (choice, routing) = self.decide(&routed, key.as_ref().map(|(fp, _)| fp.as_str()));
-        let feedback = match (&routed.rewrite, &key) {
-            (Some(alt), Some((fp, _))) => Some(FeedbackCtx {
-                fp: fp.clone(),
+    /// Route a plan entry: run the planning loop and the routing decision
+    /// at current epochs, row counts and feedback.
+    fn route(&self, entry: &PlanEntry, fp: Option<&str>) -> Routed {
+        let routed = self.compute_routed_plan(entry);
+        let (choice, routing) = self.decide(&routed, fp);
+        let feedback = match (&routed.rewrite, fp) {
+            (Some(alt), Some(fp)) => Some(FeedbackCtx {
+                fp: fp.to_string(),
                 choice,
                 est_total: match choice {
                     RouteChoice::Base => routed.base_cost.total,
@@ -911,37 +976,45 @@ impl SummarySession {
             }),
             _ => None,
         };
-        let detail = match (choice, &routed.rewrite) {
+        let RoutedPlan {
+            rewrite, skipped, ..
+        } = routed;
+        let detail = match (choice, rewrite) {
             (RouteChoice::Rewrite, Some(alt)) => PlanDetail {
-                graph: alt.graph.clone(),
-                used: alt.used.clone(),
-                skipped: routed.skipped.clone(),
-                routing,
                 maintenance: alt
                     .used
                     .iter()
                     .filter_map(|n| self.maintenance_note(n))
                     .collect(),
+                graph: alt.graph,
+                used: alt.used,
+                skipped,
+                routing,
             },
             _ => PlanDetail {
-                graph: routed.base.clone(),
+                graph: entry.base.clone(),
                 used: Vec::new(),
-                skipped: routed.skipped.clone(),
+                skipped,
                 routing,
                 maintenance: Vec::new(),
             },
         };
-        Ok(Routed {
-            detail,
-            key,
-            feedback,
-        })
+        Routed { detail, feedback }
     }
 
-    /// Run the matcher and cost both alternatives (the cache-miss path).
-    fn compute_routed_plan(&self, base_graph: QgmGraph) -> RoutedPlan {
-        let rewriter = Rewriter::new(&self.session.catalog);
+    /// The planning loop: gate out stale ASTs, greedily apply the cheapest
+    /// matching AST until none matches, and cost both alternatives at
+    /// current row counts. Match outcomes come from the entry's memo, and
+    /// only the ones it lacks are computed (and stored) — on a fresh entry
+    /// that is every one, so a cold lookup runs exactly the matches a
+    /// memo-less loop would.
+    fn compute_routed_plan(&self, entry: &PlanEntry) -> RoutedPlan {
+        // Built on the first missing outcome only: sizing its pool asks the
+        // OS for the available parallelism, which costs more than a whole
+        // memoized lookup.
+        let mut rewriter: Option<Rewriter> = None;
         let row_count = |t: &str| self.session.db.row_count(t);
+        let mut memo = lock_cache(&entry.memo);
         let mut used = Vec::new();
         let mut skipped = Vec::new();
 
@@ -958,7 +1031,8 @@ impl SummarySession {
             }
         }
 
-        let mut graph = base_graph.clone();
+        // The rewritten graph so far; `None` until an AST is applied.
+        let mut graph: Option<QgmGraph> = None;
         loop {
             let mut errored: Vec<usize> = Vec::new();
             let mut eligible: Vec<usize> = Vec::new();
@@ -975,36 +1049,49 @@ impl SummarySession {
                     eligible.push(i);
                 }
             }
-            let refs: Vec<&RegisteredAst> = eligible.iter().map(|&i| &candidates[i].ast).collect();
+            // The graph at this state is a function of the ASTs applied so
+            // far, so their sequence keys its outcomes.
+            let outcomes = memo.entry(used.clone()).or_default();
+            let missing: Vec<&RegisteredAst> = eligible
+                .iter()
+                .map(|&i| &candidates[i].ast)
+                .filter(|a| !outcomes.contains_key(&a.name))
+                .collect();
+            if !missing.is_empty() {
+                let rewriter = rewriter.get_or_insert_with(|| Rewriter::new(&self.session.catalog));
+                let query = graph.as_ref().unwrap_or(&entry.base);
+                let computed = rewriter.rewrite_candidates(query, &missing);
+                for (ast, outcome) in missing.iter().zip(computed) {
+                    outcomes.insert(ast.name.clone(), outcome);
+                }
+            }
             // §7 multi-AST choice: among the matching candidates, take the
             // one whose rewritten graph the cost model estimates cheapest
             // (previously: fewest backing rows — a scan-only proxy).
-            let mut best: Option<(usize, Rewrite, f64)> = None;
-            let outcomes = rewriter.rewrite_candidates(&graph, &refs);
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let i = eligible[k];
-                match outcome {
-                    CandidateOutcome::Match(rw) => {
+            let mut best: Option<(usize, &Rewrite, f64)> = None;
+            for &i in &eligible {
+                match outcomes.get(&candidates[i].ast.name) {
+                    Some(CandidateOutcome::Match(rw)) => {
                         let c = cost::estimate(&rw.graph, &row_count).total;
                         if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
-                            best = Some((i, *rw, c));
+                            best = Some((i, rw, c));
                         }
                     }
-                    CandidateOutcome::Filtered | CandidateOutcome::NoMatch => {}
-                    CandidateOutcome::Error(e) => {
+                    Some(CandidateOutcome::Error(e)) => {
                         skipped.push(SkippedAst {
                             ast: candidates[i].ast.name.clone(),
                             reason: format!("matcher error: {}", e.detail),
                         });
                         errored.push(i);
                     }
+                    _ => {}
                 }
             }
             let Some((chosen, rw, _)) = best else {
                 break;
             };
             used.push(rw.ast_name.clone());
-            graph = rw.graph;
+            graph = Some(rw.graph.clone());
             let mut remove = errored;
             remove.push(chosen);
             remove.sort_unstable();
@@ -1013,28 +1100,21 @@ impl SummarySession {
             }
         }
 
-        let base_cost = cost::estimate(&base_graph, &row_count);
-        let rewrite = if used.is_empty() {
-            None
-        } else {
-            let c = cost::estimate(&graph, &row_count);
-            Some(RewriteAlt {
+        RoutedPlan {
+            base_cost: cost::estimate(&entry.base, &row_count),
+            rewrite: graph.map(|graph| RewriteAlt {
+                cost: cost::estimate(&graph, &row_count),
                 graph,
                 used,
-                cost: c,
-            })
-        };
-        RoutedPlan {
-            base: base_graph,
-            base_cost,
-            rewrite,
+            }),
             skipped,
         }
     }
 
     /// Derive the routing decision for a plan pair: cost estimate first,
     /// overridden by runtime feedback (measurements outrank estimates; a
-    /// pending probe outranks an untrusted estimate).
+    /// pending probe outranks an untrusted estimate). Read-only: a
+    /// re-route is counted by `query`, which serves it.
     fn decide(&self, routed: &RoutedPlan, fp: Option<&str>) -> (RouteChoice, RouteDecision) {
         let Some(alt) = &routed.rewrite else {
             return (RouteChoice::Base, RouteDecision::NoMatch);
@@ -1047,8 +1127,7 @@ impl SummarySession {
         let mut decided = est;
         let mut fb_reason = None;
         if let Some(fp) = fp {
-            let mut cache = lock_cache(&self.plan_cache);
-            if let Some(fb) = cache.feedback(fp, self.ast_generation) {
+            if let Some(fb) = lock_cache(&self.plan_cache).feedback(fp, self.ast_generation) {
                 if let Some(best) = fb.measured_best() {
                     if best != est {
                         let b = fb.observed(RouteChoice::Base).unwrap_or(0.0);
@@ -1070,9 +1149,6 @@ impl SummarySession {
                     }
                     decided = forced;
                 }
-            }
-            if decided != est {
-                cache.count_reroute();
             }
         }
         let routing = if decided != est {
@@ -1130,19 +1206,27 @@ impl SummarySession {
     /// un-rewritten path itself still surface as `Err` — there is nothing
     /// left to fall back to.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, SumtabError> {
-        let routed = self.route(sql)?;
+        let (entry, fp) = self.plan_entry(sql)?;
         // Result cache: an identical query at identical table epochs and
-        // AST generation replays the stored result without executing.
-        // Fault injection already forced `routed.key` to `None`, so
-        // injected outcomes are never stored or served.
-        if self.result_cache_capacity > 0 {
-            if let Some((fp, snap)) = &routed.key {
-                if let Some(hit) =
-                    lock_cache(&self.result_cache).lookup(fp, snap, self.ast_generation)
-                {
-                    return Ok(hit.clone());
-                }
+        // AST generation replays the stored result without executing — or
+        // routing: the key needs only the plan entry. Fault injection
+        // already forced `fp` to `None`, so injected outcomes are never
+        // stored or served.
+        let key = match &fp {
+            Some(fp) if self.result_cache_capacity > 0 => {
+                Some((fp.clone(), self.plan_epoch_snapshot(&entry.base)))
             }
+            _ => None,
+        };
+        if let Some((fp, snap)) = &key {
+            if let Some(hit) = lock_cache(&self.result_cache).lookup(fp, snap, self.ast_generation)
+            {
+                return Ok(hit.clone());
+            }
+        }
+        let routed = self.route(&entry, fp.as_deref());
+        if matches!(routed.detail.routing, RouteDecision::ReRouted { .. }) {
+            lock_cache(&self.plan_cache).count_reroute();
         }
         let detail = &routed.detail;
         let header: Vec<String> = detail
@@ -1174,15 +1258,13 @@ impl SummarySession {
                     fallback: None,
                     routed: detail.routing.describe(),
                 };
-                if self.result_cache_capacity > 0 {
-                    if let Some((fp, snap)) = routed.key {
-                        lock_cache(&self.result_cache).store(
-                            fp,
-                            snap,
-                            self.ast_generation,
-                            result.clone(),
-                        );
-                    }
+                if let Some((fp, snap)) = key {
+                    lock_cache(&self.result_cache).store(
+                        fp,
+                        snap,
+                        self.ast_generation,
+                        result.clone(),
+                    );
                 }
                 Ok(result)
             }

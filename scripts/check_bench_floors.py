@@ -46,7 +46,27 @@ def maintenance(data):
                    f"32768 rows (ceiling {ceiling}x)")
 
 
-CHECKS = {"figures": figures, "exec": exec_, "maintenance": maintenance}
+def result_cache(data):
+    # A repeated query served from the result cache over executing it, and
+    # a cold plan over a re-plan after a 1-row append, which must reuse the
+    # cached match outcomes without a single navigator run.
+    if data["speedup"] < data["min_speedup"]:
+        yield (f"result-cache repeat is only {data['speedup']}x execution "
+               f"(floor {data['min_speedup']}x)")
+    if data["cold_over_replan"] < data["min_cold_over_replan"]:
+        yield (f"cold plan is only {data['cold_over_replan']}x a re-plan "
+               f"after DML (floor {data['min_cold_over_replan']}x)")
+    if data["replan_navigator_runs"] != 0:
+        yield (f"re-planning after DML ran the navigator "
+               f"{data['replan_navigator_runs']} times (must be 0)")
+
+
+CHECKS = {
+    "figures": figures,
+    "exec": exec_,
+    "maintenance": maintenance,
+    "result_cache": result_cache,
+}
 
 
 def main(paths):

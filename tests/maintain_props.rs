@@ -25,7 +25,9 @@ use std::sync::Arc;
 use sumtab::maintain::{self, DeltaOutcome};
 use sumtab::persist::WalRecord;
 use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
-use sumtab::{sort_rows, Applied, Catalog, RouterOptions, Row, SummarySession};
+use sumtab::{
+    render_graph_sql, sort_rows, Applied, Catalog, PlanDetail, RouterOptions, Row, SummarySession,
+};
 use sumtab_parser::{parse_query, parse_statements};
 
 /// SplitMix64 — tiny, deterministic, good enough for workload shuffling.
@@ -166,6 +168,31 @@ fn run_dml(s: &mut SummarySession, sql: &str) -> Applied {
     }
 }
 
+/// Warm planning equals cold planning: every probe's plan is a plan-cache
+/// hit with no invalidation — a data change never evicts a plan — and it
+/// agrees with a from-scratch plan taken after a generation bump in the
+/// ASTs used, the ASTs skipped and why, the routing decision, and the SQL
+/// that would run.
+fn assert_warm_plans_equal_cold(s: &mut SummarySession, ctx: &str) {
+    let before = s.plan_cache_stats();
+    let warm: Vec<PlanDetail> = PROBES.iter().map(|p| s.plan_detail(p).unwrap()).collect();
+    let after = s.plan_cache_stats();
+    assert_eq!(after.hits - before.hits, PROBES.len() as u64, "{ctx}");
+    assert_eq!(after.invalidations, before.invalidations, "{ctx}");
+    s.bump_plan_generation();
+    for (probe, warm) in PROBES.iter().zip(warm) {
+        let cold = s.plan_detail(probe).unwrap();
+        assert_eq!(warm.used, cold.used, "{ctx}: `{probe}`");
+        assert_eq!(warm.skipped, cold.skipped, "{ctx}: `{probe}`");
+        assert_eq!(warm.routing, cold.routing, "{ctx}: `{probe}`");
+        assert_eq!(
+            render_graph_sql(&warm.graph),
+            render_graph_sql(&cold.graph),
+            "{ctx}: `{probe}`"
+        );
+    }
+}
+
 #[test]
 fn random_mixed_scripts_stay_byte_identical_to_recompute() {
     let base = base_seed();
@@ -181,15 +208,36 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
             ..RouterOptions::default()
         });
         s.run_script(SETUP).unwrap();
+        for probe in PROBES {
+            s.plan_detail(probe).unwrap();
+        }
         let mut next_id = 0i64;
         let mut merged = BTreeSet::new();
         // A merge is a row-level mutation of the backing table: its columnar
         // view is maintained in place, not dropped and rebuilt.
         let view = |s: &SummarySession, name: &str| Arc::as_ptr(&s.session.db.columnar(name));
-        for step in 0..60 {
-            let stmt = gen_stmt(&mut rng, &mut next_id);
+        for step in 0..62 {
             let views: Vec<_> = SUMMARIES.iter().map(|n| view(&s, n)).collect();
-            for name in run_dml(&mut s, &stmt).maintained {
+            // Two fixed-schedule steps draw no random numbers, so the DML
+            // script is the one the other 60 steps always ran: an
+            // out-of-session epoch bump leaves every summary stale, then a
+            // refresh makes one fresh again.
+            let (stmt, maintained) = match step {
+                21 => {
+                    s.session.db.bump_epoch("f");
+                    ("out-of-session bump_epoch(f)".to_string(), Vec::new())
+                }
+                22 => {
+                    s.refresh("s_counting").unwrap();
+                    ("refresh(s_counting)".to_string(), Vec::new())
+                }
+                _ => {
+                    let stmt = gen_stmt(&mut rng, &mut next_id);
+                    let maintained = run_dml(&mut s, &stmt).maintained;
+                    (stmt, maintained)
+                }
+            };
+            for name in maintained {
                 let i = SUMMARIES.iter().position(|n| **n == name).unwrap();
                 assert_eq!(
                     views[i],
@@ -198,6 +246,7 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                 );
                 merged.insert(name);
             }
+            assert_warm_plans_equal_cold(&mut s, &format!("seed {seed:#x} step {step}: `{stmt}`"));
             for probe in PROBES {
                 let expected = recompute(&mut s, probe);
                 let got = answer(&mut s, probe);

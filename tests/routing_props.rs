@@ -173,6 +173,12 @@ fn feedback_reroutes_preserve_results() {
         s.plan_cache_stats().reroutes > 0,
         "a 0.0 threshold must have probed at least one alternative"
     );
+    // Planning without serving counts no re-route, whatever it decides.
+    let reroutes = s.plan_cache_stats().reroutes;
+    for case in FIGURES.iter().filter(|c| c.matches) {
+        s.explain(case.query).unwrap();
+    }
+    assert_eq!(s.plan_cache_stats().reroutes, reroutes, "explain counted");
 
     // Epoch bump: every AST is now stale; the router has no rewrite to
     // choose and the answers still hold (the data did not change).
@@ -312,7 +318,9 @@ fn result_cache_hits_and_is_epoch_invalidated() {
     );
 
     // Capacity 0 disables caching entirely.
+    let stats = s.result_cache_stats();
     s.set_result_cache_capacity(0);
+    assert_eq!(s.result_cache_stats(), stats, "a resize kept the counters");
     let hits4 = s.result_cache_stats().hits;
     s.query(q).unwrap();
     s.query(q).unwrap();
