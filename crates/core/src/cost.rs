@@ -27,9 +27,10 @@
 //! so a rewrite that merely ties on scanned rows loses in practice. Below
 //! [`RoutePolicy::min_cost_gate`] estimated rows, the choice cannot matter
 //! (µs-scale either way) and the paper's default — prefer the rewrite —
-//! stands. Estimates this coarse are sometimes wrong, which is why the
-//! session layers a runtime feedback loop on top (observed latencies
-//! override estimates; see `sumtab::SummarySession`).
+//! stands. The session routes on this decision alone — no observed latency
+//! feeds back into it — so a query routes the same way on every run over
+//! the same data; keeping the penalty and selectivities honest against the
+//! executor is a matter of recalibrating these constants.
 
 use std::collections::HashMap;
 

@@ -44,7 +44,7 @@ pub use exec::{
     DEFAULT_MORSEL_SIZE,
 };
 pub use materialize::{backing_table_schema, materialize, materialize_with};
-pub use plancache::{CacheStats, FeedbackEntry, PlanCache, RouteChoice};
+pub use plancache::{CacheStats, PlanCache};
 pub use program::{Cell, Program, Resolved, Scratch};
 pub use session::{matched_rows, update_deltas, Session};
 

@@ -314,12 +314,11 @@ impl DurableSession {
 
     /// Configure the wrapped session's result-cache capacity.
     ///
-    /// Routing, feedback, and result-cache state are *derived* — none of it
-    /// is WAL-logged. Recovery replays registrations, which bumps the plan
-    /// generation and so invalidates any pre-crash routing decisions and
-    /// cached results; the cost model re-derives the same routes from the
-    /// recovered catalog, and the feedback loop re-learns from live
-    /// executions.
+    /// Plan-cache and result-cache state are *derived* — none of it is
+    /// WAL-logged. Recovery replays registrations, which bumps the plan
+    /// generation and so invalidates any pre-crash plans and cached
+    /// results; routing is a pure cost decision, so the recovered session
+    /// derives the same routes from the recovered catalog and data.
     pub fn set_result_cache_capacity(&mut self, n: usize) {
         self.inner.set_result_cache_capacity(n);
     }

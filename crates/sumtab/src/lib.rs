@@ -68,8 +68,7 @@ pub use durable::{DurabilityMode, DurableOptions, DurableSession, RecoverError, 
 
 pub use sumtab_catalog::{Catalog, Date, SqlType, Value};
 pub use sumtab_engine::{
-    format_table, sort_rows, CacheStats, Database, FeedbackEntry, PlanCache, RouteChoice, Row,
-    Session, SumtabError,
+    format_table, sort_rows, CacheStats, Database, PlanCache, Row, Session, SumtabError,
 };
 pub use sumtab_matcher::cost;
 pub use sumtab_matcher::{
@@ -80,7 +79,6 @@ pub use sumtab_qgm::{build_query, graph_fingerprint, render_graph_sql, QgmGraph}
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 use sumtab_engine::session::{literal_rows, table_from_ddl, StatementResult};
 use sumtab_engine::{matched_rows, update_deltas};
 use sumtab_matcher::cost::{PlanCost, RoutePolicy};
@@ -103,10 +101,9 @@ pub struct QueryResult {
     /// re-answered from base tables: a description of the failure. `None`
     /// means no degradation happened (the plan that was chosen also ran).
     pub fallback: Option<String>,
-    /// When the router *deliberately* declined or overrode a viable
-    /// rewrite — the cost model kept the base plan, or runtime feedback
-    /// re-routed the query — the reason is reported here. `None` for the
-    /// normal paths (no match, or the rewrite was chosen and ran).
+    /// When the router *deliberately* declined a viable rewrite — the cost
+    /// model kept the base plan — the reason is reported here. `None` for
+    /// the normal paths (no match, or the rewrite was chosen and ran).
     ///
     /// This is intentionally distinct from [`QueryResult::fallback`]:
     /// a cost-based base-plan choice is the router working as designed,
@@ -201,32 +198,21 @@ pub enum RouteDecision {
         /// The ASTs the rejected rewrite would have read.
         rejected: Vec<String>,
     },
-    /// Runtime feedback overrode the cost estimate for this query — either
-    /// both plans have been measured and the measured-faster one differs
-    /// from the estimate, or the estimated plan overran its estimate badly
-    /// enough that the unmeasured alternative is being probed.
-    ReRouted {
-        /// The plan that actually runs.
-        to: RouteChoice,
-        /// Why the estimate was overridden.
-        reason: String,
-    },
 }
 
 impl RouteDecision {
-    /// A stable one-word tag (`none` / `rewrite` / `base` / `re-routed`)
-    /// for benches and telemetry.
+    /// A stable one-word tag (`none` / `rewrite` / `base`) for benches and
+    /// telemetry.
     pub fn label(&self) -> &'static str {
         match self {
             RouteDecision::NoMatch => "none",
             RouteDecision::Rewrite => "rewrite",
             RouteDecision::Base { .. } => "base",
-            RouteDecision::ReRouted { .. } => "re-routed",
         }
     }
 
     /// The reason string surfaced through [`QueryResult::routed`]: `Some`
-    /// only when the router declined or overrode a viable rewrite.
+    /// only when the router declined a viable rewrite.
     pub fn describe(&self) -> Option<String> {
         match self {
             RouteDecision::NoMatch | RouteDecision::Rewrite => None,
@@ -239,38 +225,17 @@ impl RouteDecision {
                  {rewrite_cost:.0} rows processed vs base {base_cost:.0}",
                 rejected.join(", ")
             )),
-            RouteDecision::ReRouted { to, reason } => Some(format!(
-                "re-routed by runtime feedback to the {} plan: {reason}",
-                match to {
-                    RouteChoice::Base => "base",
-                    RouteChoice::Rewrite => "rewritten",
-                }
-            )),
         }
     }
 }
 
-/// Tunables for the cost-based router and its feedback loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Tunables for the cost-based router. Routing is a pure function of the
+/// match candidates, current row counts and this policy: executing a query
+/// never changes how the next one routes.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RouterOptions {
     /// The static cost policy (rewrite penalty, small-plan gate).
     pub policy: RoutePolicy,
-    /// When the chosen plan's observed latency exceeds its calibrated
-    /// estimate by this factor — and the alternative plan has never been
-    /// measured — the next identical query probes the alternative, after
-    /// which the measured-faster plan wins outright. `0.0` probes after
-    /// every calibrated execution (useful in tests); larger values trust
-    /// the estimates more.
-    pub reroute_threshold: f64,
-}
-
-impl Default for RouterOptions {
-    fn default() -> RouterOptions {
-        RouterOptions {
-            policy: RoutePolicy::default(),
-            reroute_threshold: 4.0,
-        }
-    }
 }
 
 /// The outcome of planning one query: the final (possibly rewritten) graph,
@@ -336,10 +301,9 @@ impl PlanEntry {
 
 /// One lookup's routing inputs, derived from a [`PlanEntry`] at current
 /// epochs and row counts: the base plan's cost, the best rewrite and the
-/// skipped ASTs. Never cached — a feedback re-route or a DML that changes
-/// a cost or a staleness verdict is seen on the next lookup, while a
-/// cost-*rejected* match still re-serves the base plan with zero navigator
-/// runs.
+/// skipped ASTs. Never cached — a DML that changes a cost or a staleness
+/// verdict is seen on the next lookup, while a cost-*rejected* match still
+/// re-serves the base plan with zero navigator runs.
 #[derive(Debug, Clone)]
 struct RoutedPlan {
     /// Estimated cost of the base plan.
@@ -359,27 +323,6 @@ struct RewriteAlt {
     used: Vec<String>,
     /// Estimated cost of the rewritten plan.
     cost: PlanCost,
-}
-
-/// What `query` needs to close the feedback loop after execution.
-#[derive(Clone)]
-struct FeedbackCtx {
-    /// The plan fingerprint.
-    fp: String,
-    /// The choice that ran.
-    choice: RouteChoice,
-    /// The chosen plan's estimated cost (rows processed).
-    est_total: f64,
-}
-
-/// A fully routed plan: the detail to execute, plus the feedback
-/// bookkeeping `query` needs afterwards.
-struct Routed {
-    detail: PlanDetail,
-    /// Present only when a rewrite alternative exists and the query has a
-    /// fingerprint (feedback on a no-choice plan is meaningless, and fault
-    /// injection bypasses every cache).
-    feedback: Option<FeedbackCtx>,
 }
 
 /// Record each base table the graph scans at its current epoch.
@@ -453,8 +396,7 @@ pub struct SummarySession {
     /// parse, build and fingerprint.
     text_memo: Mutex<PlanCache<String>>,
     /// Fingerprint → [`PlanEntry`] (base graph + match-outcome memo),
-    /// validated by [`SummarySession::plan_generation`] alone. Also carries
-    /// the routing feedback sidecar (generation-validated as well).
+    /// validated by [`SummarySession::plan_generation`] alone.
     plan_cache: Mutex<PlanCache<Arc<PlanEntry>>>,
     /// Fingerprint → complete [`QueryResult`], validated by generation and
     /// an epoch snapshot of every table the plan can depend on: any
@@ -464,10 +406,6 @@ pub struct SummarySession {
     result_cache_capacity: usize,
     /// Cost-router tunables.
     router: RouterOptions,
-    /// Observed nanoseconds per estimated cost unit (EMA across executed
-    /// queries) — the bridge between the cost model's "rows processed" and
-    /// wall-clock time that the feedback threshold compares against.
-    cost_calibration: Option<f64>,
     /// Bumped by every event that can change planning outcomes without
     /// touching table data: AST registration, `CREATE TABLE`, and
     /// `ALTER TABLE .. ADD FOREIGN KEY` (a new RI constraint can make a
@@ -486,7 +424,6 @@ impl Default for SummarySession {
             result_cache: Mutex::new(PlanCache::new(RESULT_CACHE_CAPACITY)),
             result_cache_capacity: RESULT_CACHE_CAPACITY,
             router: RouterOptions::default(),
-            cost_calibration: None,
             ast_generation: 0,
         }
     }
@@ -634,9 +571,9 @@ impl SummarySession {
         self.result_cache_capacity
     }
 
-    /// Replace the router tunables (cost policy + feedback threshold).
-    /// Takes effect on the next planning decision — cached plan entries
-    /// stay valid because the decision is re-derived on every lookup.
+    /// Replace the router's cost policy. Takes effect on the next planning
+    /// decision — cached plan entries stay valid because the decision is
+    /// re-derived on every lookup.
     pub fn set_router_options(&mut self, opts: RouterOptions) {
         self.router = opts;
     }
@@ -898,11 +835,12 @@ impl SummarySession {
     ///
     /// Everything data can change is *derived on every call*: the
     /// staleness gate, the cheapest-match pick on current row counts, and
-    /// the routing decision from current [`RouterOptions`] and any runtime
-    /// feedback — so a feedback re-route flips a cached entry in place.
+    /// the routing decision from those costs and the current
+    /// [`RouterOptions`]. Nothing else feeds it, so planning the same query
+    /// over the same data and ASTs always routes the same way.
     pub fn plan_detail(&self, sql: &str) -> Result<PlanDetail, SumtabError> {
-        let (entry, fp) = self.plan_entry(sql)?;
-        Ok(self.route(&entry, fp.as_deref()).detail)
+        let (entry, _) = self.plan_entry(sql)?;
+        Ok(self.route(&entry))
     }
 
     /// The plan entry for a query and its fingerprint; the front half of
@@ -960,46 +898,44 @@ impl SummarySession {
         }
     }
 
-    /// Route a plan entry: run the planning loop and the routing decision
-    /// at current epochs, row counts and feedback.
-    fn route(&self, entry: &PlanEntry, fp: Option<&str>) -> Routed {
-        let routed = self.compute_routed_plan(entry);
-        let (choice, routing) = self.decide(&routed, fp);
-        let feedback = match (&routed.rewrite, fp) {
-            (Some(alt), Some(fp)) => Some(FeedbackCtx {
-                fp: fp.to_string(),
-                choice,
-                est_total: match choice {
-                    RouteChoice::Base => routed.base_cost.total,
-                    RouteChoice::Rewrite => alt.cost.total,
-                },
-            }),
-            _ => None,
-        };
+    /// Route a plan entry: run the planning loop at current epochs and row
+    /// counts, then keep the best rewrite only if the cost model says it
+    /// wins ([`cost::rewrite_wins`]).
+    fn route(&self, entry: &PlanEntry) -> PlanDetail {
         let RoutedPlan {
-            rewrite, skipped, ..
-        } = routed;
-        let detail = match (choice, rewrite) {
-            (RouteChoice::Rewrite, Some(alt)) => PlanDetail {
-                maintenance: alt
-                    .used
-                    .iter()
-                    .filter_map(|n| self.maintenance_note(n))
-                    .collect(),
-                graph: alt.graph,
-                used: alt.used,
-                skipped,
-                routing,
-            },
-            _ => PlanDetail {
+            base_cost,
+            rewrite,
+            skipped,
+        } = self.compute_routed_plan(entry);
+        match rewrite {
+            Some(alt) if cost::rewrite_wins(&base_cost, &alt.cost, &self.router.policy) => {
+                PlanDetail {
+                    maintenance: alt
+                        .used
+                        .iter()
+                        .filter_map(|n| self.maintenance_note(n))
+                        .collect(),
+                    graph: alt.graph,
+                    used: alt.used,
+                    skipped,
+                    routing: RouteDecision::Rewrite,
+                }
+            }
+            rewrite => PlanDetail {
                 graph: entry.base.clone(),
                 used: Vec::new(),
                 skipped,
-                routing,
+                routing: match rewrite {
+                    None => RouteDecision::NoMatch,
+                    Some(alt) => RouteDecision::Base {
+                        base_cost: base_cost.total,
+                        rewrite_cost: alt.cost.total,
+                        rejected: alt.used,
+                    },
+                },
                 maintenance: Vec::new(),
             },
-        };
-        Routed { detail, feedback }
+        }
     }
 
     /// The planning loop: gate out stale ASTs, greedily apply the cheapest
@@ -1111,91 +1047,6 @@ impl SummarySession {
         }
     }
 
-    /// Derive the routing decision for a plan pair: cost estimate first,
-    /// overridden by runtime feedback (measurements outrank estimates; a
-    /// pending probe outranks an untrusted estimate). Read-only: a
-    /// re-route is counted by `query`, which serves it.
-    fn decide(&self, routed: &RoutedPlan, fp: Option<&str>) -> (RouteChoice, RouteDecision) {
-        let Some(alt) = &routed.rewrite else {
-            return (RouteChoice::Base, RouteDecision::NoMatch);
-        };
-        let est = if cost::rewrite_wins(&routed.base_cost, &alt.cost, &self.router.policy) {
-            RouteChoice::Rewrite
-        } else {
-            RouteChoice::Base
-        };
-        let mut decided = est;
-        let mut fb_reason = None;
-        if let Some(fp) = fp {
-            if let Some(fb) = lock_cache(&self.plan_cache).feedback(fp, self.ast_generation) {
-                if let Some(best) = fb.measured_best() {
-                    if best != est {
-                        let b = fb.observed(RouteChoice::Base).unwrap_or(0.0);
-                        let r = fb.observed(RouteChoice::Rewrite).unwrap_or(0.0);
-                        fb_reason = Some(format!(
-                            "measured base {:.0}µs vs rewrite {:.0}µs",
-                            b / 1e3,
-                            r / 1e3
-                        ));
-                    }
-                    decided = best;
-                } else if let Some(forced) = fb.forced() {
-                    if forced != est {
-                        fb_reason = Some(
-                            "probing the unmeasured alternative after the chosen plan \
-                             overran its calibrated estimate"
-                                .to_string(),
-                        );
-                    }
-                    decided = forced;
-                }
-            }
-        }
-        let routing = if decided != est {
-            RouteDecision::ReRouted {
-                to: decided,
-                reason: fb_reason.unwrap_or_default(),
-            }
-        } else if decided == RouteChoice::Base {
-            RouteDecision::Base {
-                base_cost: routed.base_cost.total,
-                rewrite_cost: alt.cost.total,
-                rejected: alt.used.clone(),
-            }
-        } else {
-            RouteDecision::Rewrite
-        };
-        (decided, routing)
-    }
-
-    /// Close the feedback loop after a successful execution: fold the
-    /// observed latency into the entry's per-choice moving average, keep
-    /// the session's ns-per-cost-unit calibration current, and — when the
-    /// chosen plan badly overran its calibrated estimate and the
-    /// alternative has never been measured — arm a probe so the next
-    /// identical query measures the other plan.
-    fn record_observation(&mut self, fb: &FeedbackCtx, observed_ns: f64) {
-        let prior = self.cost_calibration;
-        let sample = observed_ns / fb.est_total.max(1.0);
-        self.cost_calibration = Some(match prior {
-            Some(c) => c * 0.7 + sample * 0.3,
-            None => sample,
-        });
-        let mut cache = lock_cache(&self.plan_cache);
-        cache.observe_latency(&fb.fp, self.ast_generation, fb.choice, observed_ns);
-        let other_measured = cache
-            .feedback(&fb.fp, self.ast_generation)
-            .is_some_and(|e| e.observed(fb.choice.other()).is_some());
-        if !other_measured {
-            if let Some(calibration) = prior {
-                let estimated_ns = fb.est_total.max(1.0) * calibration;
-                if observed_ns > estimated_ns * self.router.reroute_threshold {
-                    cache.force_route(&fb.fp, self.ast_generation, fb.choice.other());
-                }
-            }
-        }
-    }
-
     /// Execute a query with transparent rewriting.
     ///
     /// Graceful degradation: when an AST-backed plan fails at execution
@@ -1224,11 +1075,7 @@ impl SummarySession {
                 return Ok(hit.clone());
             }
         }
-        let routed = self.route(&entry, fp.as_deref());
-        if matches!(routed.detail.routing, RouteDecision::ReRouted { .. }) {
-            lock_cache(&self.plan_cache).count_reroute();
-        }
-        let detail = &routed.detail;
+        let detail = self.route(&entry);
         let header: Vec<String> = detail
             .graph
             .boxed(detail.graph.root)
@@ -1236,7 +1083,6 @@ impl SummarySession {
             .iter()
             .map(|c| c.name.clone())
             .collect();
-        let started = Instant::now();
         let exec = if !detail.used.is_empty() && failpoint::triggered("execute-rewritten") {
             Err(sumtab_engine::ExecError::Injected(
                 "execute-rewritten".to_string(),
@@ -1246,10 +1092,6 @@ impl SummarySession {
         };
         match exec {
             Ok(rows) => {
-                let elapsed_ns = started.elapsed().as_nanos() as f64;
-                if let Some(fb) = routed.feedback.clone() {
-                    self.record_observation(&fb, elapsed_ns);
-                }
                 let result = QueryResult {
                     header,
                     rows,

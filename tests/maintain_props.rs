@@ -25,9 +25,7 @@ use std::sync::Arc;
 use sumtab::maintain::{self, DeltaOutcome};
 use sumtab::persist::WalRecord;
 use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
-use sumtab::{
-    render_graph_sql, sort_rows, Applied, Catalog, PlanDetail, RouterOptions, Row, SummarySession,
-};
+use sumtab::{render_graph_sql, sort_rows, Applied, Catalog, PlanDetail, Row, SummarySession};
 use sumtab_parser::{parse_query, parse_statements};
 
 /// SplitMix64 — tiny, deterministic, good enough for workload shuffling.
@@ -200,13 +198,6 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         let seed = base ^ case.wrapping_mul(0xA076_1D64_78BD_642F);
         let mut rng = Rng(seed);
         let mut s = SummarySession::new();
-        // No latency-feedback probe is ever armed, so routing is the
-        // deterministic cost decision: on these microsecond-scale plans a
-        // probe would race the closing `used_ast` assertion.
-        s.set_router_options(RouterOptions {
-            reroute_threshold: f64::INFINITY,
-            ..RouterOptions::default()
-        });
         s.run_script(SETUP).unwrap();
         for probe in PROBES {
             s.plan_detail(probe).unwrap();
