@@ -6,21 +6,24 @@
 //! ## Protocol (logical redo; DESIGN.md §12 has the invariants)
 //!
 //! Every mutating operation is one [`WalRecord`]: a statement is resolved
-//! to its record ([`SummarySession::resolve`]), the record is applied **in
-//! memory first** ([`SummarySession::apply`]), and then that same record is
-//! appended (checksummed, fsynced) to `wal.bin`; only then is it
-//! acknowledged. Memory and log agree afterwards either way: an apply that
-//! fails changed nothing and logs nothing, an apply that took effect is
-//! logged even when it reports a summary it could not maintain.
+//! to its record ([`SummarySession::resolve`]), and [`SummarySession::apply`]
+//! carries the record out **in memory first**, then appends that same
+//! record (checksummed, fsynced) to `wal.bin` through the session's change
+//! log; only then is it acknowledged. Every mutator goes through `apply`,
+//! so each is logged with no code of its own here. Memory and log agree
+//! afterwards either way: an apply that fails changed nothing and logs
+//! nothing, an apply that took effect is logged even when it reports a
+//! summary it could not maintain.
 //!
 //! Every `snapshot_every` records the whole session state is serialized to
 //! `snapshot.bin` via an atomic temp-file-then-rename, after which the log
 //! is reset. Recovery ([`DurableSession::open`]) loads the newest valid
-//! snapshot, replays the WAL records it does not already cover, truncates
-//! any torn tail at the last valid record, and re-runs the plan verifier on
-//! every recovered AST registration — an AST that no longer verifies is
-//! *skipped* with a typed [`RecoverError::AstRejected`] entry in the
-//! [`RecoveryReport`], never loaded and never a panic.
+//! snapshot, replays the WAL records it does not already cover, and
+//! truncates any torn tail at the last valid record. Every recovered AST
+//! registration passes the same plan-verifier gate as a live one; an AST
+//! that no longer verifies is *skipped* with a typed
+//! [`RecoverError::AstRejected`] entry in the [`RecoveryReport`], never
+//! loaded and never a panic.
 //!
 //! ## Degradation, not failure
 //!
@@ -36,21 +39,21 @@
 //!
 //! Replay calls the *same* [`SummarySession::apply`] as live execution, on
 //! the same records, so epochs advance identically and recovered staleness
-//! bookkeeping matches the pre-crash session. The one non-deterministic
-//! live event — an incremental maintenance attempt that a transient fault
-//! pushed onto the full-refresh path — is neutralized by logging an
-//! idempotent `Refresh` record after the change record. After replay the
-//! plan-cache generation is bumped once more than the pre-crash session
-//! ever saw, so no plan cached before the crash can validate against the
-//! recovered session.
+//! bookkeeping matches the pre-crash session. Replay runs before the log is
+//! attached, so a replayed record is never logged again. The one
+//! non-deterministic live event — an incremental maintenance attempt that a
+//! transient fault pushed onto the full-refresh path — is neutralized by
+//! logging an idempotent `Refresh` record after the change record. After
+//! replay the plan-cache generation is bumped once more than the pre-crash
+//! session ever saw, so no plan cached before the crash can validate
+//! against the recovered session.
 
 use crate::{Applied, SummarySession};
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use sumtab_catalog::{Catalog, Table};
-use sumtab_engine::session::StatementResult;
-use sumtab_engine::{Database, Row, SumtabError};
-use sumtab_parser::parse_statements;
+use sumtab_engine::Database;
 use sumtab_persist::snapshot::{self, SnapshotState};
 use sumtab_persist::wal::{self, Wal, WalRecord};
 use sumtab_persist::{PersistError, WalOptions};
@@ -162,6 +165,98 @@ impl RecoveryReport {
     }
 }
 
+/// The change log [`SummarySession::apply`] writes. Inert (no WAL) in a
+/// plain session and during replay; [`DurableSession::open_with`] attaches
+/// a live one once recovery is done.
+pub(crate) struct ChangeLog {
+    dir: PathBuf,
+    /// `None` when inert, and once the WAL failed (`mode` then says why).
+    wal: Option<Wal>,
+    mode: DurabilityMode,
+    opts: DurableOptions,
+    records_since_snapshot: u64,
+    last_snapshot_error: Option<String>,
+}
+
+impl Default for ChangeLog {
+    fn default() -> ChangeLog {
+        ChangeLog {
+            dir: PathBuf::new(),
+            wal: None,
+            mode: DurabilityMode::Ephemeral {
+                reason: "no change log attached".to_string(),
+            },
+            opts: DurableOptions::default(),
+            records_since_snapshot: 0,
+            last_snapshot_error: None,
+        }
+    }
+}
+
+impl ChangeLog {
+    /// Append one record, degrading to ephemeral mode when the WAL fails
+    /// even after bounded retry. The in-memory application has already
+    /// happened; what is lost is only the *durability* of this op — which
+    /// is exactly what the mode change reports.
+    fn append(&mut self, rec: &WalRecord) {
+        let Some(w) = &mut self.wal else { return };
+        match w.append(rec) {
+            Ok(_) => self.records_since_snapshot += 1,
+            Err(e) => {
+                self.mode = DurabilityMode::Ephemeral {
+                    reason: format!("wal append failed: {e}"),
+                };
+                self.wal = None;
+            }
+        }
+    }
+}
+
+impl SummarySession {
+    /// The logging half of [`SummarySession::apply`], for a record that took
+    /// effect: log it, then an idempotent `Refresh` for every summary the
+    /// apply degraded onto a full recompute (the degradation may be a
+    /// transient fault that replay will not see; the refresh record
+    /// converges both), then snapshot when the cadence is due.
+    pub(crate) fn log_applied(&mut self, rec: &WalRecord, applied: &Applied) {
+        self.log.append(rec);
+        for name in &applied.refreshed {
+            self.log.append(&WalRecord::Refresh { name: name.clone() });
+        }
+        let every = self.log.opts.snapshot_every;
+        if every == 0 || self.log.records_since_snapshot < every || self.log.wal.is_none() {
+            return;
+        }
+        if let Err(e) = self.snapshot() {
+            // Soft failure: WAL durability is intact; retry at the next
+            // cadence point and surface the cause.
+            self.log.last_snapshot_error = Some(e.to_string());
+            self.log.records_since_snapshot = 0;
+        }
+    }
+
+    /// See [`DurableSession::snapshot_now`].
+    fn snapshot(&mut self) -> Result<(), PersistError> {
+        let Some(last_lsn) = self.log.wal.as_ref().map(Wal::last_lsn) else {
+            return Err(PersistError::Io {
+                context: "snapshot".to_string(),
+                kind: std::io::ErrorKind::Other,
+                message: "session is in ephemeral mode".to_string(),
+            });
+        };
+        let state = build_snapshot_state(self, last_lsn);
+        snapshot::write_snapshot(&self.log.dir, &state, self.log.opts.wal.retry)?;
+        if let Some(w) = &mut self.log.wal {
+            // A failed reset is harmless: the snapshot's LSN makes recovery
+            // skip every record the log still holds.
+            let _ = w.reset();
+        }
+        self.log.records_since_snapshot = 0;
+        self.log.last_snapshot_error = None;
+        Ok(())
+    }
+}
+
 /// A [`SummarySession`] whose state survives process death.
 ///
 /// ```
@@ -182,14 +277,7 @@ impl RecoveryReport {
 /// ```
 pub struct DurableSession {
     inner: SummarySession,
-    dir: PathBuf,
-    /// `None` exactly when `mode` is ephemeral.
-    wal: Option<Wal>,
-    mode: DurabilityMode,
-    opts: DurableOptions,
-    records_since_snapshot: u64,
     report: RecoveryReport,
-    last_snapshot_error: Option<String>,
 }
 
 impl DurableSession {
@@ -205,7 +293,8 @@ impl DurableSession {
     /// corrupt), scan `wal.bin` accepting the longest valid prefix, replay
     /// records the snapshot does not cover, truncate the torn tail, then
     /// bump the plan generation past anything the pre-crash session could
-    /// have cached. Opening the WAL for *append* is allowed to fail — that
+    /// have cached. Only then is the change log attached, so replay logs
+    /// nothing. Opening the WAL for *append* is allowed to fail — that
     /// degrades the session to [`DurabilityMode::Ephemeral`] instead of
     /// refusing to serve.
     pub fn open_with(
@@ -267,26 +356,25 @@ impl DurableSession {
                 },
             ),
         };
-        Ok(DurableSession {
-            inner,
+        inner.log = ChangeLog {
             dir,
             wal,
             mode,
             opts,
             records_since_snapshot: 0,
-            report,
             last_snapshot_error: None,
-        })
+        };
+        Ok(DurableSession { inner, report })
     }
 
     /// The durability directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.inner.log.dir
     }
 
     /// Whether mutations are currently being persisted.
     pub fn mode(&self) -> &DurabilityMode {
-        &self.mode
+        &self.inner.log.mode
     }
 
     /// What recovery found when this session was opened.
@@ -298,99 +386,7 @@ impl DurableSession {
     /// next successful snapshot). The session stays durable through the
     /// WAL regardless.
     pub fn last_snapshot_error(&self) -> Option<&str> {
-        self.last_snapshot_error.as_deref()
-    }
-
-    /// Read-only view of the wrapped session (plans, EXPLAIN, AST
-    /// introspection). Mutations must go through the durable methods.
-    pub fn session(&self) -> &SummarySession {
-        &self.inner
-    }
-
-    /// The wrapped session's plan-cache generation.
-    pub fn plan_generation(&self) -> u64 {
-        self.inner.plan_generation()
-    }
-
-    /// Configure the wrapped session's result-cache capacity.
-    ///
-    /// Plan-cache and result-cache state are *derived* — none of it is
-    /// WAL-logged. Recovery replays registrations, which bumps the plan
-    /// generation and so invalidates any pre-crash plans and cached
-    /// results; routing is a pure cost decision, so the recovered session
-    /// derives the same routes from the recovered catalog and data.
-    pub fn set_result_cache_capacity(&mut self, n: usize) {
-        self.inner.set_result_cache_capacity(n);
-    }
-
-    /// Configure the wrapped session's routing policy (not WAL-logged;
-    /// reapply after reopening if a non-default policy is wanted).
-    pub fn set_router_options(&mut self, opts: crate::RouterOptions) {
-        self.inner.set_router_options(opts);
-    }
-
-    /// Run a script durably: each statement is resolved, then committed
-    /// (applied in memory, then logged) before the next statement runs. A
-    /// statement that fails before changing anything logs nothing; a failed
-    /// *log append* (after retries) degrades the session to ephemeral mode
-    /// and the script continues.
-    pub fn run_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, SumtabError> {
-        let stmts = parse_statements(sql).map_err(|e| SumtabError::parse(sql, e))?;
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
-            let (result, record) = self.inner.resolve(stmt)?;
-            if let Some(rec) = record {
-                self.commit(rec)?;
-            }
-            out.push(result);
-        }
-        Ok(out)
-    }
-
-    /// Execute a query with transparent rewriting (no logging needed —
-    /// queries do not mutate logical state).
-    pub fn query(&mut self, sql: &str) -> Result<crate::QueryResult, SumtabError> {
-        self.inner.query(sql)
-    }
-
-    /// Execute a query without rewriting (baseline).
-    pub fn query_no_rewrite(&mut self, sql: &str) -> Result<crate::QueryResult, SumtabError> {
-        self.inner.query_no_rewrite(sql)
-    }
-
-    /// EXPLAIN-style routing view.
-    pub fn explain(&self, sql: &str) -> Result<String, SumtabError> {
-        self.inner.explain(sql)
-    }
-
-    /// Durable [`SummarySession::append`]: rows land in the base table,
-    /// affected summaries are maintained, and the batch (plus any
-    /// fault-degraded refreshes) is logged.
-    pub fn append(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<String>, SumtabError> {
-        let table = table.to_string();
-        self.commit(WalRecord::Append { table, rows })
-            .map(|a| a.maintained)
-    }
-
-    /// Durable [`SummarySession::refresh`].
-    pub fn refresh(&mut self, name: &str) -> Result<(), SumtabError> {
-        let name = name.to_string();
-        self.commit(WalRecord::Refresh { name }).map(drop)
-    }
-
-    /// Durable [`SummarySession::deregister`].
-    pub fn deregister(&mut self, name: &str) -> Result<(), SumtabError> {
-        let name = name.to_string();
-        self.commit(WalRecord::DeregisterAst { name }).map(drop)
-    }
-
-    /// Durably invalidate a table: bump its modification epoch (marking
-    /// every summary snapshotted against it stale, and invalidating cached
-    /// plans that read it) without changing its data.
-    pub fn invalidate(&mut self, table: &str) {
-        let table = table.to_string();
-        // Applying an epoch bump cannot fail.
-        let _ = self.commit(WalRecord::EpochBump { table });
+        self.inner.log.last_snapshot_error.as_deref()
     }
 
     /// Take a snapshot immediately and reset the log. Errors if the
@@ -398,72 +394,32 @@ impl DurableSession {
     /// or if the snapshot write fails — in the latter case the previous
     /// snapshot and the intact WAL remain authoritative.
     pub fn snapshot_now(&mut self) -> Result<(), PersistError> {
-        let Some(w) = &mut self.wal else {
-            return Err(PersistError::Io {
-                context: "snapshot".to_string(),
-                kind: std::io::ErrorKind::Other,
-                message: "session is in ephemeral mode".to_string(),
-            });
-        };
-        let state = build_snapshot_state(&self.inner, w.last_lsn());
-        snapshot::write_snapshot(&self.dir, &state, self.opts.wal.retry)?;
-        // A failed reset is harmless: the snapshot's LSN makes recovery
-        // skip every record the log still holds.
-        let _ = w.reset();
-        self.records_since_snapshot = 0;
-        self.last_snapshot_error = None;
-        Ok(())
+        self.inner.snapshot()
     }
 
-    /// The one durable write path: apply the record in memory, log that
-    /// same record, then log an idempotent `Refresh` for every summary the
-    /// apply degraded onto a full recompute (the degradation may be a
-    /// transient fault that replay will not see; the refresh record
-    /// converges both).
-    ///
-    /// Memory and log agree when this returns, either way: `apply` failing
-    /// means nothing changed and nothing is logged; once it took effect the
-    /// record is logged even if [`Applied::failed`] then surfaces as `Err`.
-    fn commit(&mut self, rec: WalRecord) -> Result<Applied, SumtabError> {
-        let applied = self.inner.apply(&rec)?;
-        self.log(&rec);
-        for name in &applied.refreshed {
-            self.log(&WalRecord::Refresh { name: name.clone() });
-        }
-        self.maybe_snapshot();
-        applied.into_result()
+    /// The wrapped session.
+    pub fn session(&self) -> &SummarySession {
+        &self.inner
     }
+}
 
-    /// Append one record, degrading to ephemeral mode when the WAL fails
-    /// even after bounded retry. The in-memory application has already
-    /// happened; what is lost is only the *durability* of this op — which
-    /// is exactly what the mode change reports.
-    fn log(&mut self, rec: &WalRecord) {
-        let Some(w) = &mut self.wal else { return };
-        match w.append(rec) {
-            Ok(_) => self.records_since_snapshot += 1,
-            Err(e) => {
-                self.mode = DurabilityMode::Ephemeral {
-                    reason: format!("wal append failed: {e}"),
-                };
-                self.wal = None;
-            }
-        }
+impl Deref for DurableSession {
+    type Target = SummarySession;
+
+    fn deref(&self) -> &SummarySession {
+        &self.inner
     }
+}
 
-    fn maybe_snapshot(&mut self) {
-        if self.opts.snapshot_every == 0
-            || self.records_since_snapshot < self.opts.snapshot_every
-            || self.wal.is_none()
-        {
-            return;
-        }
-        if let Err(e) = self.snapshot_now() {
-            // Soft failure: WAL durability is intact; retry at the next
-            // cadence point and surface the cause.
-            self.last_snapshot_error = Some(e.to_string());
-            self.records_since_snapshot = 0;
-        }
+/// Every [`SummarySession`] mutator is durable through this impl, since
+/// only [`SummarySession::apply`] logs and every mutator goes through it.
+/// Writing the `session.catalog`/`session.db` fields directly bypasses the
+/// log, just as it bypasses summary maintenance in a plain session.
+/// Configuration (result-cache capacity, router options, pool size) is
+/// never logged: reapply it after reopening.
+impl DerefMut for DurableSession {
+    fn deref_mut(&mut self) -> &mut SummarySession {
+        &mut self.inner
     }
 }
 
@@ -496,8 +452,9 @@ fn build_snapshot_state(s: &SummarySession, last_lsn: u64) -> SnapshotState {
 
 /// Rebuild a session from a decoded snapshot. Epochs and per-AST epoch
 /// snapshots are restored *exactly* (a summary that was stale at snapshot
-/// time is still stale after recovery). Every recovered AST registration is
-/// re-verified; failures are recorded as typed rejections and skipped.
+/// time is still stale after recovery). Every AST definition passes the
+/// registration gate of [`SummarySession::with_data`]; the ones it refuses
+/// are recorded as typed rejections and skipped.
 fn restore_session(
     state: SnapshotState,
     report: &mut RecoveryReport,
@@ -562,7 +519,7 @@ fn restore_session(
     db.restore_state(state.data, state.epochs);
     let mut inner = SummarySession::with_data(catalog, db);
 
-    // Definitions that failed to re-parse/plan are typed rejections.
+    // Definitions that no longer parse, plan or verify are typed rejections.
     for (name, reason) in inner.registration_failures().to_vec() {
         report.rejected.push(RecoverError::AstRejected {
             name,
@@ -582,32 +539,13 @@ fn restore_session(
         }
     }
     inner.ast_generation = state.generation;
-
-    // Satellite gate: every recovered registration must still pass the
-    // plan verifier; failures are skipped (typed), never loaded.
-    let mut rejected = Vec::new();
-    for (i, st) in inner.asts.iter().enumerate() {
-        if let Err(e) = sumtab_qgm::verify::verify_plan(&st.ast.graph, &inner.session.catalog) {
-            report.rejected.push(RecoverError::AstRejected {
-                name: st.ast.name.clone(),
-                reason: format!("plan verifier rejected recovered AST: {e}"),
-            });
-            rejected.push(i);
-        }
-    }
-    for i in rejected.into_iter().rev() {
-        let st = inner.asts.remove(i);
-        inner
-            .registration_failures
-            .push((st.ast.name.clone(), "rejected by recovery verifier".into()));
-    }
     Ok(inner)
 }
 
 /// Re-apply one WAL record through the live [`SummarySession::apply`].
-/// Recovery-only on top of it: the verifier gate on replayed registrations,
-/// tolerance for records naming an AST recovery already rejected, and
-/// typed errors.
+/// Recovery-only on top of it: a registration the gate refuses becomes a
+/// typed rejection, records naming an AST recovery already rejected are
+/// tolerated, and other failures become typed errors.
 fn replay_record(
     inner: &mut SummarySession,
     lsn: u64,
@@ -615,21 +553,6 @@ fn replay_record(
     report: &mut RecoveryReport,
 ) -> Result<(), RecoverError> {
     match (rec, inner.apply(rec)) {
-        (WalRecord::RegisterAst { name, .. }, Ok(_)) => {
-            let verdict = inner
-                .ast_states()
-                .iter()
-                .find(|st| st.ast.name.eq_ignore_ascii_case(name))
-                .map(|st| sumtab_qgm::verify::verify_plan(&st.ast.graph, &inner.session.catalog));
-            if let Some(Err(e)) = verdict {
-                report.rejected.push(RecoverError::AstRejected {
-                    name: name.clone(),
-                    reason: format!("plan verifier rejected replayed AST: {e}"),
-                });
-                // Typed skip: remove it cleanly, keep recovering.
-                let _ = inner.apply(&WalRecord::DeregisterAst { name: name.clone() });
-            }
-        }
         (WalRecord::RegisterAst { name, .. }, Err(e)) => {
             report.rejected.push(RecoverError::AstRejected {
                 name: name.clone(),

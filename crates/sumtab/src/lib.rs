@@ -45,10 +45,10 @@
 //!   `refresh` boundaries carry [`failpoint`] hooks so the degraded paths
 //!   are deterministically testable, as do the WAL/snapshot IO boundaries
 //!   (`wal-append`, `wal-fsync`, `snapshot-write`, `snapshot-rename`).
-//! * **Durability**: [`DurableSession`] wraps a [`SummarySession`] with a
-//!   checksummed write-ahead log plus periodic atomic snapshots, and
-//!   recovers the full session — catalog, data, registered ASTs, staleness
-//!   epochs — after a crash (see [`durable`] and DESIGN.md §12).
+//! * **Durability**: [`SummarySession::apply`] writes a checksummed
+//!   write-ahead log plus periodic atomic snapshots, which [`DurableSession`]
+//!   attaches after recovering the full session — catalog, data, registered
+//!   ASTs, staleness epochs — from a crash (see [`durable`], DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 
@@ -150,16 +150,16 @@ pub struct SkippedAst {
 }
 
 /// What [`SummarySession::apply`] did with one change record. `Ok(Applied)`
-/// means the record took effect on the base state (and must be logged by a
-/// durable caller); `Err` from `apply` means nothing was changed.
+/// means the record took effect on the base state (and was logged);
+/// `Err` from `apply` means nothing was changed.
 #[derive(Debug, Clone, Default)]
 pub struct Applied {
     /// ASTs maintained through the incremental merge path.
     pub maintained: Vec<String>,
     /// ASTs recomputed in full because their incremental path failed
     /// (verify gate, injected fault, or merge error). The degradation can be
-    /// non-deterministic (a transient fault), so the durability layer logs
-    /// one idempotent `Refresh` record per name to make replay converge.
+    /// non-deterministic (a transient fault), so `apply` logs one
+    /// idempotent `Refresh` record per name to make replay converge.
     /// ASTs whose definition *never* had an incremental plan (e.g. HAVING)
     /// are not listed: their full refresh re-runs deterministically on
     /// replay.
@@ -346,11 +346,15 @@ fn graph_reads(graph: &QgmGraph, table: &str) -> bool {
     })
 }
 
-fn ast_def_err(sql: &str, e: AstDefError) -> SumtabError {
-    match e {
+/// Parse, plan and verify (in every build) one summary-table definition:
+/// the gate every registration passes, live, restored or replayed.
+fn verified_ast(name: &str, sql: &str, catalog: &Catalog) -> Result<RegisteredAst, SumtabError> {
+    let ast = RegisteredAst::from_sql(name, sql, catalog).map_err(|e| match e {
         AstDefError::Parse(p) => SumtabError::parse(sql, p),
         AstDefError::Plan(b) => SumtabError::plan(sql, b),
-    }
+    })?;
+    sumtab_qgm::verify::verify_plan(&ast.graph, catalog)?;
+    Ok(ast)
 }
 
 /// Plans a session keeps cached, and SQL texts it remembers the fingerprint
@@ -411,6 +415,8 @@ pub struct SummarySession {
     /// `ALTER TABLE .. ADD FOREIGN KEY` (a new RI constraint can make a
     /// previously impossible lossless extra join legal).
     ast_generation: u64,
+    /// Written by [`SummarySession::apply`]; inert outside a [`DurableSession`].
+    log: durable::ChangeLog,
 }
 
 impl Default for SummarySession {
@@ -425,6 +431,7 @@ impl Default for SummarySession {
             result_cache_capacity: RESULT_CACHE_CAPACITY,
             router: RouterOptions::default(),
             ast_generation: 0,
+            log: durable::ChangeLog::default(),
         }
     }
 }
@@ -451,15 +458,15 @@ impl SummarySession {
     /// A session over a pre-built catalog and database.
     ///
     /// Summary tables already present in the catalog are re-registered for
-    /// rewriting; any whose definition no longer parses or plans are
-    /// reported through [`SummarySession::registration_failures`] rather
+    /// rewriting; any whose definition no longer parses, plans or verifies
+    /// are reported through [`SummarySession::registration_failures`] rather
     /// than silently dropped. Their base tables are assumed up to date as
     /// of the given database.
     pub fn with_data(catalog: Catalog, db: Database) -> SummarySession {
         let mut asts = Vec::new();
         let mut registration_failures = Vec::new();
         for def in catalog.summary_tables() {
-            match RegisteredAst::from_sql(&def.name, &def.query_sql, &catalog) {
+            match verified_ast(&def.name, &def.query_sql, &catalog) {
                 Ok(ast) => asts.push(AstState::new(ast, &catalog, &db)),
                 Err(e) => registration_failures.push((def.name.clone(), e.to_string())),
             }
@@ -715,10 +722,20 @@ impl SummarySession {
     /// cannot drift. Records are kind-authoritative: an `Insert` applies as
     /// a plain insert even if an AST now reads the table.
     ///
-    /// `Err` means nothing was changed. `Ok` means the record took effect;
-    /// for the row-change kinds an AST that could neither be merged nor
-    /// refreshed is reported in [`Applied::failed`] and left stale.
+    /// `Err` means nothing was changed and nothing was logged. `Ok` means
+    /// the record took effect and was logged — followed by an idempotent
+    /// `Refresh` per [`Applied::refreshed`] name, and a snapshot when due.
+    /// For the row-change kinds an AST that could neither be merged nor
+    /// refreshed is reported in [`Applied::failed`] and left stale. The log
+    /// is inert unless a [`DurableSession`] attached it after recovery.
     pub fn apply(&mut self, rec: &WalRecord) -> Result<Applied, SumtabError> {
+        let applied = self.carry_out(rec)?;
+        self.log_applied(rec, &applied);
+        Ok(applied)
+    }
+
+    /// [`SummarySession::apply`] short of the log.
+    fn carry_out(&mut self, rec: &WalRecord) -> Result<Applied, SumtabError> {
         match rec {
             // Catalog DDL can change match outcomes (a new RI constraint
             // legalizes extra joins) without moving any table epoch — hence
@@ -771,8 +788,7 @@ impl SummarySession {
     /// the first mutation.
     fn register_ast(&mut self, name: &str, query_sql: &str) -> Result<(), SumtabError> {
         let Session { catalog, db, exec } = &mut self.session;
-        let ast = RegisteredAst::from_sql(name, query_sql, catalog)
-            .map_err(|e| ast_def_err(query_sql, e))?;
+        let ast = verified_ast(name, query_sql, catalog)?;
         let backing = sumtab_engine::backing_table_schema(name, &ast.graph, catalog)?;
         let st = AstState::new(ast, catalog, db);
         // The *exec* graph: a counting-delta definition that projects no row
@@ -1204,6 +1220,15 @@ impl SummarySession {
         self.apply(&WalRecord::DeregisterAst { name }).map(drop)
     }
 
+    /// Invalidate a table: bump its modification epoch (marking every
+    /// summary snapshotted against it stale, and invalidating cached
+    /// results that read it) without changing its data.
+    pub fn invalidate(&mut self, table: &str) {
+        let table = table.to_string();
+        // Applying an epoch bump cannot fail.
+        let _ = self.apply(&WalRecord::EpochBump { table });
+    }
+
     /// Change a base table's rows — `removed` leave, `inserted` arrive (an
     /// append removes nothing, a delete inserts nothing, an update does
     /// both, positionally paired) — and bring every summary that reads the
@@ -1439,6 +1464,28 @@ mod tests {
         // registration).
         s.refresh("ST").unwrap();
         assert_eq!(s.session.db.row_count("st"), 2);
+        let r = s
+            .query("select k, count(*) as c from t group by k")
+            .unwrap();
+        assert_eq!(r.used_ast.as_deref(), Some("st"));
+
+        // Invalidating the base table marks `st` stale without touching a
+        // row; the next refresh routes through it again.
+        let rows = sort_rows(s.session.db.rows("t").to_vec());
+        s.invalidate("t");
+        let detail = s
+            .plan_detail("select k, count(*) as c from t group by k")
+            .unwrap();
+        assert!(detail.used.is_empty(), "{detail:?}");
+        assert!(
+            detail
+                .skipped
+                .iter()
+                .any(|k| k.ast == "st" && k.reason.contains("stale")),
+            "{detail:?}"
+        );
+        assert_eq!(sort_rows(s.session.db.rows("t").to_vec()), rows);
+        s.refresh("st").unwrap();
         let r = s
             .query("select k, count(*) as c from t group by k")
             .unwrap();
