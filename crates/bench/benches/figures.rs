@@ -5,11 +5,12 @@
 //!
 //! Since the cost-based router landed, the headline `ratio` is the speedup
 //! of the plan the system would actually *choose* over the base plan — a
-//! figure whose rewrite the cost model rejects (Figure 5's near-base-size
-//! AST) routes to the base plan and reports 1.00x. `rewrite_ratio` records
-//! the rewrite's own speedup whatever the route, so an estimate that
-//! rejects a rewrite that measures faster shows up there. Every reported
-//! ratio is asserted `>= 1.0`: the router must never ship a losing plan.
+//! figure whose rewrite the router rejects (Figure 5's near-base-size AST
+//! does not halve the stored rows read) routes to the base plan and reports
+//! 1.00x. `rewrite_ratio` records the rewrite's own speedup whatever the
+//! route, so a rejected rewrite that measures faster shows up there. Every
+//! reported ratio is asserted `>= 1.0`: the router must never ship a losing
+//! plan.
 //!
 //! Plain `harness = false` benchmark (no external benchmark framework —
 //! the workspace builds offline); prints one line per figure.

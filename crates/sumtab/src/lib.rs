@@ -101,9 +101,10 @@ pub struct QueryResult {
     /// re-answered from base tables: a description of the failure. `None`
     /// means no degradation happened (the plan that was chosen also ran).
     pub fallback: Option<String>,
-    /// When the router *deliberately* declined a viable rewrite — the cost
-    /// model kept the base plan — the reason is reported here. `None` for
-    /// the normal paths (no match, or the rewrite was chosen and ran).
+    /// When the router *deliberately* declined a viable rewrite — it did
+    /// not read enough fewer stored rows — the reason is reported here.
+    /// `None` for the normal paths (no match, or the rewrite was chosen and
+    /// ran).
     ///
     /// This is intentionally distinct from [`QueryResult::fallback`]:
     /// a cost-based base-plan choice is the router working as designed,
@@ -186,14 +187,14 @@ impl Applied {
 pub enum RouteDecision {
     /// No registered AST matched; the base plan is the only plan.
     NoMatch,
-    /// A rewrite matched and the cost model chose it.
+    /// A rewrite matched and the router chose it.
     Rewrite,
-    /// A rewrite matched but the cost model estimated the base plan
-    /// cheaper — the losing rewrite was rejected *before* execution.
+    /// A rewrite matched but did not read enough fewer stored rows than
+    /// the base plan — the losing rewrite was rejected *before* execution.
     Base {
-        /// Estimated total rows processed by the base plan.
+        /// Stored rows the base plan reads.
         base_cost: f64,
-        /// Estimated total rows processed by the rejected rewrite.
+        /// Stored rows the rejected rewrite reads.
         rewrite_cost: f64,
         /// The ASTs the rejected rewrite would have read.
         rejected: Vec<String>,
@@ -221,8 +222,8 @@ impl RouteDecision {
                 rewrite_cost,
                 rejected,
             } => Some(format!(
-                "cost routing kept the base plan: rewrite via {} estimated \
-                 {rewrite_cost:.0} rows processed vs base {base_cost:.0}",
+                "cost routing kept the base plan: rewrite via {} reads \
+                 {rewrite_cost:.0} stored rows vs base {base_cost:.0}",
                 rejected.join(", ")
             )),
         }
@@ -306,7 +307,7 @@ impl PlanEntry {
 /// re-serves the base plan with zero navigator runs.
 #[derive(Debug, Clone)]
 struct RoutedPlan {
-    /// Estimated cost of the base plan.
+    /// Stored rows the base plan reads.
     base_cost: PlanCost,
     /// The best rewrite, when any AST matched.
     rewrite: Option<RewriteAlt>,
@@ -321,7 +322,7 @@ struct RewriteAlt {
     graph: QgmGraph,
     /// ASTs the rewrite reads, in application order.
     used: Vec<String>,
-    /// Estimated cost of the rewritten plan.
+    /// Stored rows the rewritten plan reads.
     cost: PlanCost,
 }
 
@@ -915,8 +916,8 @@ impl SummarySession {
     }
 
     /// Route a plan entry: run the planning loop at current epochs and row
-    /// counts, then keep the best rewrite only if the cost model says it
-    /// wins ([`cost::rewrite_wins`]).
+    /// counts, then keep the best rewrite only if it reads enough fewer
+    /// stored rows than the base plan ([`cost::rewrite_wins`]).
     fn route(&self, entry: &PlanEntry) -> PlanDetail {
         let RoutedPlan {
             base_cost,
@@ -1018,8 +1019,7 @@ impl SummarySession {
                 }
             }
             // §7 multi-AST choice: among the matching candidates, take the
-            // one whose rewritten graph the cost model estimates cheapest
-            // (previously: fewest backing rows — a scan-only proxy).
+            // one whose rewritten graph reads the fewest stored rows.
             let mut best: Option<(usize, &Rewrite, f64)> = None;
             for &i in &eligible {
                 match outcomes.get(&candidates[i].ast.name) {
