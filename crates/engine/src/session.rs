@@ -48,15 +48,6 @@ impl Session {
         Session::default()
     }
 
-    /// A session over an existing catalog.
-    pub fn with_catalog(catalog: Catalog) -> Session {
-        Session {
-            catalog,
-            db: Database::new(),
-            exec: ExecOptions::default(),
-        }
-    }
-
     /// Execute a parsed SELECT. Read-only, so front ends that resolve a
     /// statement before applying it can run queries through `&self`.
     pub fn run_query(&self, q: &Query) -> Result<StatementResult, SumtabError> {

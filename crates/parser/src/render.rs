@@ -13,72 +13,6 @@ pub fn render_query(q: &Query) -> String {
     s
 }
 
-/// Render a statement.
-pub fn render_statement(stmt: &Statement) -> String {
-    match stmt {
-        Statement::Query(q) => render_query(q),
-        Statement::CreateTable(ct) => {
-            let mut cols: Vec<String> = ct
-                .columns
-                .iter()
-                .map(|c| {
-                    let null = if c.nullable { "" } else { " NOT NULL" };
-                    format!("{} {}{}", c.name, c.ty.sql_name(), null)
-                })
-                .collect();
-            if !ct.primary_key.is_empty() {
-                cols.push(format!("PRIMARY KEY ({})", ct.primary_key.join(", ")));
-            }
-            format!("CREATE TABLE {} ({})", ct.name, cols.join(", "))
-        }
-        Statement::CreateSummaryTable { name, query } => {
-            format!("CREATE SUMMARY TABLE {} AS ({})", name, render_query(query))
-        }
-        Statement::AddForeignKey {
-            child_table,
-            columns,
-            parent_table,
-        } => format!(
-            "ALTER TABLE {} ADD FOREIGN KEY ({}) REFERENCES {}",
-            child_table,
-            columns.join(", "),
-            parent_table
-        ),
-        Statement::Insert { table, rows } => {
-            let rows: Vec<String> = rows
-                .iter()
-                .map(|r| {
-                    let vals: Vec<String> = r.iter().map(render_expr).collect();
-                    format!("({})", vals.join(", "))
-                })
-                .collect();
-            format!("INSERT INTO {} VALUES {}", table, rows.join(", "))
-        }
-        Statement::Delete {
-            table,
-            where_clause,
-        } => match where_clause {
-            Some(p) => format!("DELETE FROM {} WHERE {}", table, render_expr(p)),
-            None => format!("DELETE FROM {table}"),
-        },
-        Statement::Update {
-            table,
-            sets,
-            where_clause,
-        } => {
-            let assigns: Vec<String> = sets
-                .iter()
-                .map(|(c, e)| format!("{} = {}", c, render_expr(e)))
-                .collect();
-            let mut s = format!("UPDATE {} SET {}", table, assigns.join(", "));
-            if let Some(p) = where_clause {
-                s.push_str(&format!(" WHERE {}", render_expr(p)));
-            }
-            s
-        }
-    }
-}
-
 fn write_query(out: &mut String, q: &Query) {
     out.push_str("SELECT ");
     if q.distinct {

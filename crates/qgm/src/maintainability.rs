@@ -225,17 +225,6 @@ impl MaintainabilityReport {
             obstructions,
         }
     }
-
-    /// True when deletes/updates on `self.table` can be maintained from
-    /// signed deltas.
-    pub fn supports_delete(&self) -> bool {
-        self.strategy == MaintStrategy::CountingDelta
-    }
-
-    /// True when appends to `self.table` can be maintained from deltas.
-    pub fn supports_insert(&self) -> bool {
-        self.strategy != MaintStrategy::RefreshOnly
-    }
 }
 
 fn obstruction(

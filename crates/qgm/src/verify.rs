@@ -33,7 +33,7 @@
 use crate::expr::{ColRef, ScalarExpr};
 use crate::graph::{BoxId, BoxKind, QgmGraph, QuantId, QuantKind};
 use crate::types::{infer_output_types, ColMeta};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 use sumtab_catalog::{Catalog, SqlType};
 use sumtab_parser::AggFunc;
@@ -701,51 +701,6 @@ pub fn verify_backing_projection(
         }
     }
     Ok(())
-}
-
-/// Output metadata of the root box — the "schema" passes 3a/3b reason about,
-/// exposed for tests and tooling.
-pub fn root_schema(g: &QgmGraph, catalog: &Catalog) -> Vec<(String, ColMeta)> {
-    let metas = infer_output_types(g, catalog);
-    let empty: Vec<ColMeta> = Vec::new();
-    let root = metas.get(&g.root).unwrap_or(&empty);
-    g.boxed(g.root)
-        .outputs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            (
-                c.name.clone(),
-                root.get(i).copied().unwrap_or(ColMeta {
-                    ty: None,
-                    nullable: true,
-                }),
-            )
-        })
-        .collect()
-}
-
-/// Memo of per-graph verification results, keyed by graph identity; lets a
-/// session gate repeatedly on the same cached plan without re-walking it.
-#[derive(Default)]
-pub struct VerifyCache {
-    done: HashMap<u32, Result<(), VerifyError>>,
-}
-
-impl VerifyCache {
-    /// An empty cache.
-    pub fn new() -> VerifyCache {
-        VerifyCache::default()
-    }
-
-    /// Run [`verify_plan`] once per graph identity, returning the memoized
-    /// verdict afterwards.
-    pub fn verify_plan(&mut self, g: &QgmGraph, catalog: &Catalog) -> Result<(), VerifyError> {
-        self.done
-            .entry(g.id.0)
-            .or_insert_with(|| verify_plan(g, catalog))
-            .clone()
-    }
 }
 
 #[cfg(test)]
