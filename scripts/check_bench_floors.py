@@ -61,8 +61,17 @@ def result_cache(data):
                f"{data['replan_navigator_runs']} times (must be 0)")
 
 
+def filtering(data):
+    # Signature filter plus parallel navigator over the unfiltered serial
+    # sweep, at 1000 registered ASTs with one matchable candidate.
+    if data["speedup_at_1000"] < data["min_speedup"]:
+        yield (f"filtered matching is only {data['speedup_at_1000']}x the "
+               f"unfiltered sweep at 1000 ASTs (floor {data['min_speedup']}x)")
+
+
 CHECKS = {
     "figures": figures,
+    "filtering": filtering,
     "exec": exec_,
     "maintenance": maintenance,
     "result_cache": result_cache,
