@@ -115,6 +115,7 @@ fn router_choice_never_changes_results() {
     for case in FIGURES.iter().filter(|c| c.matches) {
         let oracle = routed.query_no_rewrite(case.query).unwrap();
         let expect = sumtab::sort_rows(oracle.rows);
+        let mut default_route = None;
         for (name, s) in [
             ("default", &mut routed),
             ("always-base", &mut base),
@@ -126,8 +127,17 @@ fn router_choice_never_changes_results() {
                 "{}: router `{name}` changed the answer",
                 case.id
             );
+            default_route.get_or_insert((r.used_ast, r.routed));
         }
         let detail = routed.plan_detail(case.query).unwrap();
+        // `query` and `plan_detail` reach the planner through different
+        // entry points; both must see the same route.
+        assert_eq!(
+            default_route,
+            Some((detail.used.first().cloned(), detail.routing.describe())),
+            "{}: query and plan_detail disagree",
+            case.id
+        );
         routes.push((case.id, detail.routing.label(), detail.used));
     }
     // Every figure's route and AST pick, pinned: the default router
