@@ -200,12 +200,16 @@ pub struct Rewriter<'a> {
 
 /// Default worker count for candidate sweeps: the machine's available
 /// parallelism, capped — matching is µs-scale per candidate, so a huge pool
-/// only adds spawn overhead.
+/// only adds spawn overhead. Asked of the OS once per process: the call
+/// costs more than a whole memoized planning lookup.
 fn default_pool_size() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
+    static POOL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *POOL.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 impl<'a> Rewriter<'a> {
