@@ -17,8 +17,9 @@
 //!   table *data* can never be returned stale.
 //!
 //! The owner picks the snapshot per use. Match outcomes depend on no table
-//! data, so `SummarySession` stores its plans (and its SQL-text →
-//! fingerprint memo) under an *empty* snapshot — validated by generation
+//! data, so the `sumtab` session's planner (its `planner` module, which
+//! owns all three of the session's caches) stores plans (and its SQL-text
+//! → fingerprint memo) under an *empty* snapshot — validated by generation
 //! alone, they survive DML — and re-derives the data-dependent routing on
 //! every lookup. Its result cache, whose values are rows, keys on the
 //! epochs of every table the plan can read.

@@ -63,7 +63,7 @@ impl Session {
     }
 
     /// Run a single SELECT and return `(header, rows)`.
-    pub fn query(&mut self, sql: &str) -> Result<(Vec<String>, Vec<Row>), SumtabError> {
+    pub fn query(&self, sql: &str) -> Result<(Vec<String>, Vec<Row>), SumtabError> {
         let q = sumtab_parser::parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
         match self.run_query(&q)? {
             StatementResult::Rows(h, r) => Ok((h, r)),
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        let mut s = Session::new();
+        let s = Session::new();
         assert!(s.query("select a from nope").is_err());
     }
 }

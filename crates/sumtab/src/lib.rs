@@ -7,7 +7,9 @@
 //! [`SummarySession`]: a SQL session in which `CREATE SUMMARY TABLE`
 //! registers an AST for *transparent* use — subsequent queries are
 //! automatically rewritten to read the summary table whenever the matching
-//! algorithm proves they can be.
+//! algorithm proves they can be. The session applies change records and
+//! executes plans; its private `planner` module owns the rest of the read
+//! path — the §7 greedy loop, the match memo, the three caches, routing.
 //!
 //! ```
 //! use sumtab::SummarySession;
@@ -54,6 +56,7 @@
 
 pub mod durable;
 pub mod maintain;
+mod planner;
 
 pub use sumtab_catalog as catalog;
 pub use sumtab_datagen as datagen;
@@ -65,6 +68,7 @@ pub use sumtab_persist::failpoint;
 pub use sumtab_qgm as qgm;
 
 pub use durable::{DurabilityMode, DurableOptions, DurableSession, RecoverError, RecoveryReport};
+pub use planner::{MaintenanceNote, PlanDetail, RouteDecision, RouterOptions, SkippedAst};
 
 pub use sumtab_catalog::{Catalog, Date, SqlType, Value};
 pub use sumtab_engine::{
@@ -77,13 +81,12 @@ pub use sumtab_matcher::{
 };
 pub use sumtab_qgm::{build_query, graph_fingerprint, render_graph_sql, QgmGraph};
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use planner::{PlanView, Planner};
+use std::collections::BTreeMap;
 use sumtab_engine::session::{literal_rows, table_from_ddl, StatementResult};
 use sumtab_engine::{matched_rows, update_deltas};
-use sumtab_matcher::cost::{PlanCost, RoutePolicy};
 use sumtab_parser::render::render_query;
-use sumtab_parser::{parse_query, parse_statements, Statement};
+use sumtab_parser::{parse_statements, Statement};
 use sumtab_persist::WalRecord;
 
 /// The result of a transparently-rewritten query.
@@ -139,15 +142,21 @@ impl AstState {
             maint,
         }
     }
-}
 
-/// Why an AST was passed over during planning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkippedAst {
-    /// The AST's name.
-    pub ast: String,
-    /// Human-readable skip reason (staleness or a matcher error).
-    pub reason: String,
+    /// `Some(reason)` when the recorded base epochs no longer match the
+    /// database — the summary's contents may not reflect current data.
+    pub fn staleness(&self, db: &Database) -> Option<String> {
+        for (table, &snap) in &self.base_epochs {
+            let cur = db.epoch(table);
+            if cur != snap {
+                return Some(format!(
+                    "stale: base table `{table}` is at epoch {cur}, \
+                     summary captured epoch {snap}"
+                ));
+            }
+        }
+        None
+    }
 }
 
 /// What [`SummarySession::apply`] did with one change record. `Ok(Applied)`
@@ -182,150 +191,6 @@ impl Applied {
     }
 }
 
-/// How the cost-based router disposed of one query's rewrite candidates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouteDecision {
-    /// No registered AST matched; the base plan is the only plan.
-    NoMatch,
-    /// A rewrite matched and the router chose it.
-    Rewrite,
-    /// A rewrite matched but did not read enough fewer stored rows than
-    /// the base plan — the losing rewrite was rejected *before* execution.
-    Base {
-        /// Stored rows the base plan reads.
-        base_cost: f64,
-        /// Stored rows the rejected rewrite reads.
-        rewrite_cost: f64,
-        /// The ASTs the rejected rewrite would have read.
-        rejected: Vec<String>,
-    },
-}
-
-impl RouteDecision {
-    /// A stable one-word tag (`none` / `rewrite` / `base`) for benches and
-    /// telemetry.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RouteDecision::NoMatch => "none",
-            RouteDecision::Rewrite => "rewrite",
-            RouteDecision::Base { .. } => "base",
-        }
-    }
-
-    /// The reason string surfaced through [`QueryResult::routed`]: `Some`
-    /// only when the router declined a viable rewrite.
-    pub fn describe(&self) -> Option<String> {
-        match self {
-            RouteDecision::NoMatch | RouteDecision::Rewrite => None,
-            RouteDecision::Base {
-                base_cost,
-                rewrite_cost,
-                rejected,
-            } => Some(format!(
-                "cost routing kept the base plan: rewrite via {} reads \
-                 {rewrite_cost:.0} stored rows vs base {base_cost:.0}",
-                rejected.join(", ")
-            )),
-        }
-    }
-}
-
-/// Tunables for the cost-based router. Routing is a pure function of the
-/// match candidates, current row counts and this policy: executing a query
-/// never changes how the next one routes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RouterOptions {
-    /// The static cost policy (rewrite penalty, small-plan gate).
-    pub policy: RoutePolicy,
-}
-
-/// The outcome of planning one query: the final (possibly rewritten) graph,
-/// the ASTs it uses, the ASTs that were considered but skipped, and the
-/// router's disposition of the rewrite candidates.
-#[derive(Debug, Clone)]
-pub struct PlanDetail {
-    /// The graph that would execute.
-    pub graph: QgmGraph,
-    /// Names of the ASTs the plan reads, in application order.
-    pub used: Vec<String>,
-    /// ASTs skipped for staleness or matcher errors, with reasons.
-    pub skipped: Vec<SkippedAst>,
-    /// What the cost-based router decided.
-    pub routing: RouteDecision,
-    /// For each AST the plan reads: how it will be kept fresh under
-    /// base-table churn (the registration-time maintainability
-    /// certificates).
-    pub maintenance: Vec<MaintenanceNote>,
-}
-
-/// The maintainability certificate of one AST, surfaced for EXPLAIN and
-/// diagnostics: per base table the strongest certified strategy, plus the
-/// typed obstructions explaining every downgrade from counting-delta.
-#[derive(Debug, Clone)]
-pub struct MaintenanceNote {
-    /// The AST's name.
-    pub ast: String,
-    /// Base table (lower-cased) → certified strategy.
-    pub strategies: Vec<(String, qgm::MaintStrategy)>,
-    /// Rendered obstructions (`reason at path: detail`), in analysis order.
-    pub obstructions: Vec<String>,
-}
-
-/// Greedy-loop state (the ASTs already applied, in order) → AST name → that
-/// AST's outcome against the graph the state denotes.
-type MatchMemo = HashMap<Vec<String>, HashMap<String, CandidateOutcome>>;
-
-/// What the session plan cache stores for one fingerprint: the base graph
-/// plus a memo of match outcomes. Whether an AST subsumes a query depends
-/// only on the two definitions and the catalog, so an entry is validated by
-/// [`SummarySession::plan_generation`] alone and survives DML; everything
-/// data-dependent (staleness, costs, the routing decision) is re-derived
-/// from it on every lookup by [`SummarySession::compute_routed_plan`].
-struct PlanEntry {
-    /// The un-rewritten plan.
-    base: QgmGraph,
-    /// Filled lazily by the planning loop: an outcome is stored the first
-    /// time the loop needs it, so an AST that was stale when the entry was
-    /// created is matched when it first turns fresh. Every stored outcome
-    /// already passed the matcher's verifier gates.
-    memo: Mutex<MatchMemo>,
-}
-
-impl PlanEntry {
-    fn new(base: QgmGraph) -> PlanEntry {
-        PlanEntry {
-            base,
-            memo: Mutex::new(MatchMemo::new()),
-        }
-    }
-}
-
-/// One lookup's routing inputs, derived from a [`PlanEntry`] at current
-/// epochs and row counts: the base plan's cost, the best rewrite and the
-/// skipped ASTs. Never cached — a DML that changes a cost or a staleness
-/// verdict is seen on the next lookup, while a cost-*rejected* match still
-/// re-serves the base plan with zero navigator runs.
-#[derive(Debug, Clone)]
-struct RoutedPlan {
-    /// Stored rows the base plan reads.
-    base_cost: PlanCost,
-    /// The best rewrite, when any AST matched.
-    rewrite: Option<RewriteAlt>,
-    /// ASTs skipped for staleness or matcher errors.
-    skipped: Vec<SkippedAst>,
-}
-
-/// A viable rewritten alternative.
-#[derive(Debug, Clone)]
-struct RewriteAlt {
-    /// The fully (iteratively) rewritten graph.
-    graph: QgmGraph,
-    /// ASTs the rewrite reads, in application order.
-    used: Vec<String>,
-    /// Stored rows the rewritten plan reads.
-    cost: PlanCost,
-}
-
 /// Record each base table the graph scans at its current epoch.
 fn snapshot_epochs(db: &Database, graph: &QgmGraph) -> BTreeMap<String, u64> {
     let mut epochs = BTreeMap::new();
@@ -347,6 +212,19 @@ fn graph_reads(graph: &QgmGraph, table: &str) -> bool {
     })
 }
 
+/// Answer a query from base tables, without rewriting.
+fn base_answer(session: &Session, sql: &str) -> Result<QueryResult, SumtabError> {
+    let (header, rows) = session.query(sql)?;
+    Ok(QueryResult {
+        header,
+        rows,
+        used_ast: None,
+        executed_sql: sql.to_string(),
+        fallback: None,
+        routed: None,
+    })
+}
+
 /// Parse, plan and verify (in every build) one summary-table definition:
 /// the gate every registration passes, live, restored or replayed.
 fn verified_ast(name: &str, sql: &str, catalog: &Catalog) -> Result<RegisteredAst, SumtabError> {
@@ -356,27 +234,6 @@ fn verified_ast(name: &str, sql: &str, catalog: &Catalog) -> Result<RegisteredAs
     })?;
     sumtab_qgm::verify::verify_plan(&ast.graph, catalog)?;
     Ok(ast)
-}
-
-/// Plans a session keeps cached, and SQL texts it remembers the fingerprint
-/// of; small — a `PlanEntry` is the base graph plus one rewritten graph per
-/// matching AST — and bounded, so a long-lived session cannot grow without
-/// limit on a stream of distinct queries.
-const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Default result-cache capacity. Results can be arbitrarily wide (a
-/// cached entry clones its rows on every hit), so the default is small;
-/// [`SummarySession::set_result_cache_capacity`] resizes, `0` disables.
-const RESULT_CACHE_CAPACITY: usize = 16;
-
-/// Lock a session cache or memo, recovering from poisoning (they hold no
-/// invariants a panicking reader could break — cache entries are validated
-/// on every lookup anyway, and a memo only ever gains verified outcomes).
-fn lock_cache<V>(m: &Mutex<V>) -> MutexGuard<'_, V> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// A SQL session with transparent AST rewriting.
@@ -391,24 +248,14 @@ fn lock_cache<V>(m: &Mutex<V>) -> MutexGuard<'_, V> {
 /// can change — staleness, costs and the routing decision — so a repeated
 /// query runs the matcher again only for an AST it has not yet been matched
 /// against (one that was stale until now).
+#[derive(Default)]
 pub struct SummarySession {
     /// The underlying engine session (catalog + data).
     pub session: Session,
     asts: Vec<AstState>,
     registration_failures: Vec<(String, String)>,
-    /// SQL text → fingerprint, validated by
-    /// [`SummarySession::plan_generation`] alone, so an exact repeat skips
-    /// parse, build and fingerprint.
-    text_memo: Mutex<PlanCache<String>>,
-    /// Fingerprint → [`PlanEntry`] (base graph + match-outcome memo),
-    /// validated by [`SummarySession::plan_generation`] alone.
-    plan_cache: Mutex<PlanCache<Arc<PlanEntry>>>,
-    /// Fingerprint → complete [`QueryResult`], validated by generation and
-    /// an epoch snapshot of every table the plan can depend on: any
-    /// mutation of such a table invalidates the cached result.
-    result_cache: Mutex<PlanCache<QueryResult>>,
-    /// `0` disables result caching entirely.
-    result_cache_capacity: usize,
+    /// The text memo, the plan cache and the result cache.
+    planner: Planner,
     /// Cost-router tunables.
     router: RouterOptions,
     /// Bumped by every event that can change planning outcomes without
@@ -418,23 +265,6 @@ pub struct SummarySession {
     ast_generation: u64,
     /// Written by [`SummarySession::apply`]; inert outside a [`DurableSession`].
     log: durable::ChangeLog,
-}
-
-impl Default for SummarySession {
-    fn default() -> SummarySession {
-        SummarySession {
-            session: Session::default(),
-            asts: Vec::new(),
-            registration_failures: Vec::new(),
-            text_memo: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
-            plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
-            result_cache: Mutex::new(PlanCache::new(RESULT_CACHE_CAPACITY)),
-            result_cache_capacity: RESULT_CACHE_CAPACITY,
-            router: RouterOptions::default(),
-            ast_generation: 0,
-            log: durable::ChangeLog::default(),
-        }
-    }
 }
 
 impl SummarySession {
@@ -510,32 +340,6 @@ impl SummarySession {
             .map(|st| &st.maint)
     }
 
-    /// Render an AST's maintainability certificate for EXPLAIN and
-    /// [`PlanDetail::maintenance`].
-    fn maintenance_note(&self, name: &str) -> Option<MaintenanceNote> {
-        let st = self
-            .asts
-            .iter()
-            .find(|st| st.ast.name.eq_ignore_ascii_case(name))?;
-        let strategies = st
-            .maint
-            .reports
-            .iter()
-            .map(|(t, r)| (t.clone(), r.strategy))
-            .collect();
-        let obstructions = st
-            .maint
-            .reports
-            .values()
-            .flat_map(|r| r.obstructions.iter().map(|o| o.to_string()))
-            .collect();
-        Some(MaintenanceNote {
-            ast: st.ast.name.clone(),
-            strategies,
-            obstructions,
-        })
-    }
-
     /// The current plan-cache generation: bumped by AST registration and by
     /// DDL that can change match outcomes. Cached plans (and remembered
     /// fingerprints) from earlier generations are invalidated on lookup;
@@ -555,12 +359,12 @@ impl SummarySession {
 
     /// Cumulative plan-cache statistics for this session.
     pub fn plan_cache_stats(&self) -> CacheStats {
-        lock_cache(&self.plan_cache).stats()
+        self.planner.plan_cache_stats()
     }
 
     /// Cumulative result-cache statistics for this session.
     pub fn result_cache_stats(&self) -> CacheStats {
-        lock_cache(&self.result_cache).stats()
+        self.planner.result_cache_stats()
     }
 
     /// Resize the result cache (dropping its contents, keeping its
@@ -570,13 +374,12 @@ impl SummarySession {
     /// mutation of any such table, and fault injection bypasses the cache
     /// entirely.
     pub fn set_result_cache_capacity(&mut self, n: usize) {
-        self.result_cache_capacity = n;
-        lock_cache(&self.result_cache).resize(n.max(1));
+        self.planner.set_result_cache_capacity(n);
     }
 
     /// The configured result-cache capacity (`0` = disabled).
     pub fn result_cache_capacity(&self) -> usize {
-        self.result_cache_capacity
+        self.planner.result_cache_capacity()
     }
 
     /// Replace the router's cost policy. Takes effect on the next planning
@@ -591,24 +394,20 @@ impl SummarySession {
         self.router
     }
 
+    /// What the planner reads of this session.
+    fn view(&self) -> PlanView<'_> {
+        PlanView {
+            catalog: &self.session.catalog,
+            db: &self.session.db,
+            asts: &self.asts,
+            generation: self.ast_generation,
+            policy: self.router.policy,
+        }
+    }
+
     /// Is `table` read by any registered AST?
     fn any_ast_reads(&self, table: &str) -> bool {
         self.asts.iter().any(|st| graph_reads(&st.ast.graph, table))
-    }
-
-    /// `Some(reason)` when the AST's recorded base epochs no longer match
-    /// the database — its contents may not reflect current data.
-    fn staleness(&self, st: &AstState) -> Option<String> {
-        for (table, &snap) in &st.base_epochs {
-            let cur = self.session.db.epoch(table);
-            if cur != snap {
-                return Some(format!(
-                    "stale: base table `{table}` is at epoch {cur}, \
-                     summary captured epoch {snap}"
-                ));
-            }
-        }
-        None
     }
 
     /// Run a semicolon-separated script: each statement is resolved to the
@@ -809,258 +608,17 @@ impl SummarySession {
         Ok(())
     }
 
-    /// Every table a plan for `graph` can depend on, at current epochs: the
-    /// query's base tables, each registered AST's base tables (staleness
-    /// gating reads them), and each AST's backing table (row counts drive
-    /// the best-pick; a refresh rewrites the backing table).
-    fn plan_epoch_snapshot(&self, graph: &QgmGraph) -> BTreeMap<String, u64> {
-        let mut snap = snapshot_epochs(&self.session.db, graph);
-        for st in &self.asts {
-            snap.extend(snapshot_epochs(&self.session.db, &st.ast.graph));
-            let key = st.ast.name.to_ascii_lowercase();
-            let e = self.session.db.epoch(&key);
-            snap.insert(key, e);
-        }
-        snap
-    }
-
     /// Plan a query, reporting which ASTs were used, which were skipped
     /// (stale snapshot, or the matcher erred on them) and why, and how the
     /// cost-based router disposed of the candidates.
     ///
     /// Both skip classes degrade gracefully: a stale or matcher-erroring
     /// AST is simply not used — planning continues with the remaining ASTs
-    /// and, in the limit, the un-rewritten base plan.
-    ///
-    /// Fast paths, in order:
-    ///
-    /// 1. **Text memo** — an exact repeat of a SQL text seen at the current
-    ///    generation skips parse, build and fingerprint.
-    /// 2. **Plan cache** — a query with the same canonical fingerprint
-    ///    ([`graph_fingerprint`]) planned at the same generation reuses its
-    ///    cached base graph and match outcomes: the planning loop below
-    ///    runs over them without any match attempt, whatever DML happened
-    ///    since — including when the decision is "use the base plan": a
-    ///    cost-rejected match is re-costed, not re-matched. Only an AST the
-    ///    entry has no outcome for yet (one that was stale until now) is
-    ///    matched. Fault injection ([`failpoint::any_armed`]) bypasses both
-    ///    so injected outcomes are never stored or served.
-    /// 3. **Signature filter** — those missing outcomes come from
-    ///    [`Rewriter::rewrite_candidates`], which rejects
-    ///    provably-unmatchable ASTs by signature and fans the rest out
-    ///    across threads, with deterministic result order.
-    ///
-    /// Everything data can change is *derived on every call*: the
-    /// staleness gate, the cheapest-match pick on current row counts, and
-    /// the routing decision from those costs and the current
-    /// [`RouterOptions`]. Nothing else feeds it, so planning the same query
-    /// over the same data and ASTs always routes the same way.
+    /// and, in the limit, the un-rewritten base plan. A repeat reuses the
+    /// cached match outcomes; staleness, costs and the route are derived
+    /// anew on every call.
     pub fn plan_detail(&self, sql: &str) -> Result<PlanDetail, SumtabError> {
-        let (entry, _) = self.plan_entry(sql)?;
-        Ok(self.route(&entry))
-    }
-
-    /// The plan entry for a query and its fingerprint; the front half of
-    /// planning shared by [`SummarySession::plan_detail`] and
-    /// [`SummarySession::query`]. Makes exactly one plan-cache lookup, and
-    /// none under fault injection, which yields a fresh entry and no
-    /// fingerprint (so nothing keyed by it is stored or served).
-    fn plan_entry(&self, sql: &str) -> Result<(Arc<PlanEntry>, Option<String>), SumtabError> {
-        let parse_build = || {
-            let q = parse_query(sql).map_err(|e| SumtabError::parse(sql, e))?;
-            build_query(&q, &self.session.catalog).map_err(|e| SumtabError::plan(sql, e))
-        };
-        if failpoint::any_armed() {
-            Ok((Arc::new(PlanEntry::new(parse_build()?)), None))
-        } else {
-            let generation = self.ast_generation;
-            let remembered = lock_cache(&self.text_memo)
-                .lookup(sql, &BTreeMap::new(), generation)
-                .cloned();
-            let (fp, built) = match remembered {
-                Some(fp) => (fp, None),
-                None => {
-                    let g = parse_build()?;
-                    let fp = graph_fingerprint(&g);
-                    lock_cache(&self.text_memo).store(
-                        sql.to_string(),
-                        BTreeMap::new(),
-                        generation,
-                        fp.clone(),
-                    );
-                    (fp, Some(g))
-                }
-            };
-            let cached = lock_cache(&self.plan_cache)
-                .lookup(&fp, &BTreeMap::new(), generation)
-                .cloned();
-            let entry = match cached {
-                Some(e) => e,
-                None => {
-                    let base = match built {
-                        Some(g) => g,
-                        None => parse_build()?,
-                    };
-                    let e = Arc::new(PlanEntry::new(base));
-                    lock_cache(&self.plan_cache).store(
-                        fp.clone(),
-                        BTreeMap::new(),
-                        generation,
-                        Arc::clone(&e),
-                    );
-                    e
-                }
-            };
-            Ok((entry, Some(fp)))
-        }
-    }
-
-    /// Route a plan entry: run the planning loop at current epochs and row
-    /// counts, then keep the best rewrite only if it reads enough fewer
-    /// stored rows than the base plan ([`cost::rewrite_wins`]).
-    fn route(&self, entry: &PlanEntry) -> PlanDetail {
-        let RoutedPlan {
-            base_cost,
-            rewrite,
-            skipped,
-        } = self.compute_routed_plan(entry);
-        match rewrite {
-            Some(alt) if cost::rewrite_wins(&base_cost, &alt.cost, &self.router.policy) => {
-                PlanDetail {
-                    maintenance: alt
-                        .used
-                        .iter()
-                        .filter_map(|n| self.maintenance_note(n))
-                        .collect(),
-                    graph: alt.graph,
-                    used: alt.used,
-                    skipped,
-                    routing: RouteDecision::Rewrite,
-                }
-            }
-            rewrite => PlanDetail {
-                graph: entry.base.clone(),
-                used: Vec::new(),
-                skipped,
-                routing: match rewrite {
-                    None => RouteDecision::NoMatch,
-                    Some(alt) => RouteDecision::Base {
-                        base_cost: base_cost.total,
-                        rewrite_cost: alt.cost.total,
-                        rejected: alt.used,
-                    },
-                },
-                maintenance: Vec::new(),
-            },
-        }
-    }
-
-    /// The planning loop: gate out stale ASTs, greedily apply the cheapest
-    /// matching AST until none matches, and cost both alternatives at
-    /// current row counts. Match outcomes come from the entry's memo, and
-    /// only the ones it lacks are computed (and stored) — on a fresh entry
-    /// that is every one, so a cold lookup runs exactly the matches a
-    /// memo-less loop would.
-    fn compute_routed_plan(&self, entry: &PlanEntry) -> RoutedPlan {
-        // Built on the first missing outcome only: sizing its pool asks the
-        // OS for the available parallelism, which costs more than a whole
-        // memoized lookup.
-        let mut rewriter: Option<Rewriter> = None;
-        let row_count = |t: &str| self.session.db.row_count(t);
-        let mut memo = lock_cache(&entry.memo);
-        let mut used = Vec::new();
-        let mut skipped = Vec::new();
-
-        // Soundness gate: an AST whose base tables changed since its last
-        // (re)materialization could answer with outdated data — skip it.
-        let mut candidates: Vec<&AstState> = Vec::new();
-        for st in &self.asts {
-            match self.staleness(st) {
-                Some(reason) => skipped.push(SkippedAst {
-                    ast: st.ast.name.clone(),
-                    reason,
-                }),
-                None => candidates.push(st),
-            }
-        }
-
-        // The rewritten graph so far; `None` until an AST is applied.
-        let mut graph: Option<QgmGraph> = None;
-        loop {
-            let mut errored: Vec<usize> = Vec::new();
-            let mut eligible: Vec<usize> = Vec::new();
-            for (i, st) in candidates.iter().enumerate() {
-                if failpoint::triggered("match") {
-                    // A matcher failure disqualifies the AST but must not
-                    // sink the query: record and move on.
-                    skipped.push(SkippedAst {
-                        ast: st.ast.name.clone(),
-                        reason: "matcher error: injected fault at failpoint `match`".to_string(),
-                    });
-                    errored.push(i);
-                } else {
-                    eligible.push(i);
-                }
-            }
-            // The graph at this state is a function of the ASTs applied so
-            // far, so their sequence keys its outcomes.
-            let outcomes = memo.entry(used.clone()).or_default();
-            let missing: Vec<&RegisteredAst> = eligible
-                .iter()
-                .map(|&i| &candidates[i].ast)
-                .filter(|a| !outcomes.contains_key(&a.name))
-                .collect();
-            if !missing.is_empty() {
-                let rewriter = rewriter.get_or_insert_with(|| Rewriter::new(&self.session.catalog));
-                let query = graph.as_ref().unwrap_or(&entry.base);
-                let computed = rewriter.rewrite_candidates(query, &missing);
-                for (ast, outcome) in missing.iter().zip(computed) {
-                    outcomes.insert(ast.name.clone(), outcome);
-                }
-            }
-            // §7 multi-AST choice: among the matching candidates, take the
-            // one whose rewritten graph reads the fewest stored rows.
-            let mut best: Option<(usize, &Rewrite, f64)> = None;
-            for &i in &eligible {
-                match outcomes.get(&candidates[i].ast.name) {
-                    Some(CandidateOutcome::Match(rw)) => {
-                        let c = cost::estimate(&rw.graph, &row_count).total;
-                        if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
-                            best = Some((i, rw, c));
-                        }
-                    }
-                    Some(CandidateOutcome::Error(e)) => {
-                        skipped.push(SkippedAst {
-                            ast: candidates[i].ast.name.clone(),
-                            reason: format!("matcher error: {}", e.detail),
-                        });
-                        errored.push(i);
-                    }
-                    _ => {}
-                }
-            }
-            let Some((chosen, rw, _)) = best else {
-                break;
-            };
-            used.push(rw.ast_name.clone());
-            graph = Some(rw.graph.clone());
-            let mut remove = errored;
-            remove.push(chosen);
-            remove.sort_unstable();
-            for i in remove.into_iter().rev() {
-                candidates.remove(i);
-            }
-        }
-
-        RoutedPlan {
-            base_cost: cost::estimate(&entry.base, &row_count),
-            rewrite: graph.map(|graph| RewriteAlt {
-                cost: cost::estimate(&graph, &row_count),
-                graph,
-                used,
-            }),
-            skipped,
-        }
+        self.planner.plan_detail(&self.view(), sql)
     }
 
     /// Execute a query with transparent rewriting.
@@ -1073,126 +631,49 @@ impl SummarySession {
     /// un-rewritten path itself still surface as `Err` — there is nothing
     /// left to fall back to.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, SumtabError> {
-        let (entry, fp) = self.plan_entry(sql)?;
-        // Result cache: an identical query at identical table epochs and
-        // AST generation replays the stored result without executing — or
-        // routing: the key needs only the plan entry. Fault injection
-        // already forced `fp` to `None`, so injected outcomes are never
-        // stored or served.
-        let key = match &fp {
-            Some(fp) if self.result_cache_capacity > 0 => {
-                Some((fp.clone(), self.plan_epoch_snapshot(&entry.base)))
-            }
-            _ => None,
-        };
-        if let Some((fp, snap)) = &key {
-            if let Some(hit) = lock_cache(&self.result_cache).lookup(fp, snap, self.ast_generation)
-            {
-                return Ok(hit.clone());
-            }
-        }
-        let detail = self.route(&entry);
-        let header: Vec<String> = detail
-            .graph
-            .boxed(detail.graph.root)
-            .outputs
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        let exec = if !detail.used.is_empty() && failpoint::triggered("execute-rewritten") {
-            Err(sumtab_engine::ExecError::Injected(
-                "execute-rewritten".to_string(),
-            ))
-        } else {
-            sumtab_engine::execute_with(&detail.graph, &self.session.db, &self.session.exec)
-        };
-        match exec {
-            Ok(rows) => {
-                let result = QueryResult {
+        let session = &self.session;
+        self.planner.query(&self.view(), sql, |detail| {
+            let header: Vec<String> = (detail.graph.boxed(detail.graph.root).outputs.iter())
+                .map(|c| c.name.clone())
+                .collect();
+            let exec = if !detail.used.is_empty() && failpoint::triggered("execute-rewritten") {
+                let injected = "execute-rewritten".to_string();
+                Err(sumtab_engine::ExecError::Injected(injected))
+            } else {
+                sumtab_engine::execute_with(&detail.graph, &session.db, &session.exec)
+            };
+            match exec {
+                Ok(rows) => Ok(QueryResult {
                     header,
                     rows,
                     used_ast: detail.used.first().cloned(),
                     executed_sql: render_graph_sql(&detail.graph),
                     fallback: None,
                     routed: detail.routing.describe(),
-                };
-                if let Some((fp, snap)) = key {
-                    lock_cache(&self.result_cache).store(
-                        fp,
-                        snap,
-                        self.ast_generation,
-                        result.clone(),
-                    );
-                }
-                Ok(result)
-            }
-            Err(cause) if !detail.used.is_empty() => {
-                let (header, rows) = self.session.query(sql)?;
-                Ok(QueryResult {
-                    header,
-                    rows,
-                    used_ast: None,
-                    executed_sql: sql.to_string(),
+                }),
+                Err(cause) if !detail.used.is_empty() => Ok(QueryResult {
                     fallback: Some(format!(
                         "AST-backed plan using {} failed at execution ({cause}); \
                          fell back to the base plan",
                         detail.used.join(", ")
                     )),
-                    routed: None,
-                })
+                    ..base_answer(session, sql)?
+                }),
+                Err(cause) => Err(SumtabError::exec(sql, cause)),
             }
-            Err(cause) => Err(SumtabError::exec(sql, cause)),
-        }
+        })
     }
 
     /// Execute a query WITHOUT rewriting (the baseline for comparisons).
     pub fn query_no_rewrite(&mut self, sql: &str) -> Result<QueryResult, SumtabError> {
-        let (header, rows) = self.session.query(sql)?;
-        Ok(QueryResult {
-            header,
-            rows,
-            used_ast: None,
-            executed_sql: sql.to_string(),
-            fallback: None,
-            routed: None,
-        })
+        base_answer(&self.session, sql)
     }
 
-    /// EXPLAIN-style view: the SQL that would actually run, with routing
-    /// and per-AST skip reasons as leading comments.
+    /// EXPLAIN-style view: the SQL that would actually run, with routing,
+    /// per-AST skip reasons and maintenance certificates as leading
+    /// comments.
     pub fn explain(&self, sql: &str) -> Result<String, SumtabError> {
-        let detail = self.plan_detail(sql)?;
-        let mut out = String::new();
-        if !detail.used.is_empty() {
-            out.push_str(&format!("-- answered from: {}\n", detail.used.join(", ")));
-        } else if detail.routing.describe().is_none() {
-            // Truly no usable rewrite. When the router *declined* one, the
-            // routing line below tells the fuller story instead.
-            out.push_str("-- no summary table applicable\n");
-        }
-        if let Some(why) = detail.routing.describe() {
-            out.push_str(&format!("-- routing: {why}\n"));
-        }
-        for s in &detail.skipped {
-            out.push_str(&format!("-- skipped {}: {}\n", s.ast, s.reason));
-        }
-        for note in &detail.maintenance {
-            let strategies: Vec<String> = note
-                .strategies
-                .iter()
-                .map(|(t, s)| format!("{t}={s}"))
-                .collect();
-            out.push_str(&format!(
-                "-- maintenance {}: {}\n",
-                note.ast,
-                strategies.join(", ")
-            ));
-            for o in &note.obstructions {
-                out.push_str(&format!("-- obstruction {}: {o}\n", note.ast));
-            }
-        }
-        out.push_str(&render_graph_sql(&detail.graph));
-        Ok(out)
+        self.planner.explain(&self.view(), sql)
     }
 
     /// Append rows to a base table and maintain every affected summary
@@ -1258,7 +739,7 @@ impl SummarySession {
             }
             match st.maint.plan_for(&table_lc) {
                 Some(plan)
-                    if self.staleness(st).is_none()
+                    if st.staleness(&self.session.db).is_none()
                         && (removed.is_empty()
                             || plan.strategy == qgm::MaintStrategy::CountingDelta) =>
                 {
