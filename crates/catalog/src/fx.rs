@@ -6,7 +6,7 @@
 //! `rustc-hash`, so we ship the ~20-line multiply-xor algorithm ourselves
 //! (same recurrence as rustc's `FxHasher`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant from the Firefox/rustc Fx hash.
@@ -70,9 +70,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

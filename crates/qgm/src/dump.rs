@@ -139,96 +139,3 @@ mod tests {
         assert!(d.contains("[S]"), "scalar quantifier marker: {d}");
     }
 }
-
-/// Render the graph in Graphviz DOT format: one node per box, labeled with
-/// its kind, outputs, and predicates; solid edges for Foreach quantifiers,
-/// dashed for Scalar ones. Pipe into `dot -Tsvg` to visualize.
-pub fn dump_dot(g: &QgmGraph) -> String {
-    let mut out = String::from(
-        "digraph qgm {\n  rankdir=BT;\n  node [shape=box, fontname=\"monospace\", fontsize=10];\n",
-    );
-    for b in g.topo_order() {
-        let bx = g.boxed(b);
-        let mut label = match &bx.kind {
-            BoxKind::BaseTable { table } => format!("BaseTable {table}"),
-            BoxKind::Select(_) => format!("Select#{}", b.0),
-            BoxKind::GroupBy(gb) => {
-                if gb.sets.len() == 1 {
-                    format!("GroupBy#{}", b.0)
-                } else {
-                    format!("GroupBy#{} ({} sets)", b.0, gb.sets.len())
-                }
-            }
-            BoxKind::SubsumerRef { target, .. } => {
-                format!("SubsumerRef -> {}", target.0)
-            }
-        };
-        if !matches!(bx.kind, BoxKind::BaseTable { .. }) {
-            for oc in &bx.outputs {
-                label.push_str(&format!(
-                    "\\l{} = {}",
-                    oc.name,
-                    escape(&render_expr(g, &oc.expr, 0))
-                ));
-            }
-            if let BoxKind::Select(s) = &bx.kind {
-                for p in &s.predicates {
-                    label.push_str(&format!("\\lWHERE {}", escape(&render_expr(g, p, 0))));
-                }
-            }
-        }
-        let shape = if b == g.root { ", peripheries=2" } else { "" };
-        out.push_str(&format!("  b{} [label=\"{}\\l\"{}];\n", b.0, label, shape));
-        for &q in &bx.quants {
-            let quant = g.quant(q);
-            let style = match quant.kind {
-                QuantKind::Foreach => "solid",
-                QuantKind::Scalar => "dashed",
-            };
-            out.push_str(&format!(
-                "  b{} -> b{} [style={}, label=\"{}\"];\n",
-                quant.input.0, b.0, style, quant.name
-            ));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests assert on fixed inputs
-mod dot_tests {
-    use super::*;
-    use crate::build::build_query;
-    use sumtab_catalog::Catalog;
-    use sumtab_parser::parse_query;
-
-    #[test]
-    fn dot_output_is_well_formed() {
-        let cat = Catalog::credit_card_sample();
-        let g = build_query(
-            &parse_query(
-                "select faid, count(*) as cnt, (select count(*) from loc) as n \
-                 from trans, loc where flid = lid group by faid",
-            )
-            .unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let dot = dump_dot(&g);
-        assert!(dot.starts_with("digraph qgm {"), "{dot}");
-        assert!(dot.trim_end().ends_with('}'), "{dot}");
-        assert!(dot.contains("BaseTable trans"), "{dot}");
-        assert!(dot.contains("style=dashed"), "scalar edge: {dot}");
-        assert!(dot.contains("peripheries=2"), "root marker: {dot}");
-        // Every edge references declared nodes.
-        for line in dot.lines().filter(|l| l.contains("->")) {
-            let src = line.trim().split(' ').next().unwrap();
-            assert!(dot.contains(&format!("  {src} [label=")), "dangling {src}");
-        }
-    }
-}

@@ -250,12 +250,6 @@ impl QgmGraph {
         self.quant(q).input
     }
 
-    /// The defining expression of the QCL a column reference points at.
-    pub fn qcl_expr(&self, c: ColRef) -> &ScalarExpr {
-        let input = self.input_of(c.qid);
-        &self.boxed(input).outputs[c.ordinal].expr
-    }
-
     /// Number of quantifiers (across all boxes) that consume `b`.
     pub fn consumer_count(&self, b: BoxId) -> usize {
         self.quants.iter().filter(|q| q.input == b).count()
@@ -421,17 +415,6 @@ mod tests {
         assert_eq!(g.topo_order().len(), 2);
         assert_eq!(g.consumer_count(BoxId(0)), 1);
         assert_eq!(g.consumer_count(g.root), 0);
-    }
-
-    #[test]
-    fn qcl_expr_resolves_through_quantifier() {
-        let g = tiny();
-        let root = g.boxed(g.root);
-        let c = match &root.outputs[0].expr {
-            ScalarExpr::Col(c) => *c,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(*g.qcl_expr(c), ScalarExpr::BaseCol(0));
     }
 
     #[test]
