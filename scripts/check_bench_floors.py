@@ -69,12 +69,22 @@ def filtering(data):
                f"unfiltered sweep at 1000 ASTs (floor {data['min_speedup']}x)")
 
 
+def recovery(data):
+    # Full-log replay over snapshot recovery of the same history at the
+    # longest log: a snapshot must never recover slower than replay.
+    worst = data["sweeps"][-1]
+    if worst["ratio"] < data["min_ratio"]:
+        yield (f"snapshot recovery is only {worst['ratio']}x full replay at "
+               f"{worst['records']} records (floor {data['min_ratio']}x)")
+
+
 CHECKS = {
     "figures": figures,
     "filtering": filtering,
     "exec": exec_,
     "maintenance": maintenance,
     "result_cache": result_cache,
+    "recovery": recovery,
 }
 
 
