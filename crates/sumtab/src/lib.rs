@@ -145,7 +145,7 @@ impl AstState {
 
     /// `Some(reason)` when the recorded base epochs no longer match the
     /// database — the summary's contents may not reflect current data.
-    pub fn staleness(&self, db: &Database) -> Option<String> {
+    pub(crate) fn staleness(&self, db: &Database) -> Option<String> {
         for (table, &snap) in &self.base_epochs {
             let cur = db.epoch(table);
             if cur != snap {
