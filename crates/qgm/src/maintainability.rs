@@ -314,20 +314,6 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
             )],
         );
     };
-    if !sel.predicates.is_empty() {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                graph.root,
-                ObstructionKind::PostAggregationPredicate,
-                format!(
-                    "{} predicate(s) above the aggregation (HAVING)",
-                    sel.predicates.len()
-                ),
-            )],
-        );
-    }
     if root.quants.len() != 1 || graph.quant(root.quants[0]).kind != QuantKind::Foreach {
         return MaintainabilityReport::refresh_only(
             &table_lc,
@@ -353,6 +339,22 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
             )],
         );
     };
+    // Only now is a root predicate a HAVING: over anything but a GROUP BY
+    // it is a plain WHERE, and the shape checks above name the obstruction.
+    if !sel.predicates.is_empty() {
+        return MaintainabilityReport::refresh_only(
+            &table_lc,
+            vec![obstruction(
+                graph,
+                graph.root,
+                ObstructionKind::PostAggregationPredicate,
+                format!(
+                    "{} predicate(s) above the aggregation (HAVING)",
+                    sel.predicates.len()
+                ),
+            )],
+        );
+    }
     // Nested aggregation: aggregating only the delta rows through an inner
     // GROUP BY yields inner groups *of the delta*, not the inner groups the
     // mutation changed, so the outer merge would count the wrong things.
@@ -684,6 +686,27 @@ mod tests {
         assert_eq!(o.reason, ObstructionKind::PostAggregationPredicate);
         assert_eq!(o.box_id, g.root);
         assert!(o.path.contains("root"), "{}", o.path);
+    }
+
+    /// The paper's SPJ AST2 (Figure 5) has no aggregation: its WHERE is not
+    /// a HAVING, so every table it reads reports the missing GROUP BY.
+    #[test]
+    fn spj_root_reports_no_aggregation_not_having() {
+        let cat = Catalog::credit_card_sample();
+        let g = graph_of(
+            "select tid, faid, fpgid, status, country, price, qty, disc, \
+             qty * price as value \
+             from trans, loc, acct where lid = flid and faid = aid and disc > 0.1",
+            &cat,
+        );
+        for table in ["trans", "loc", "acct"] {
+            let r = analyze(&g, table, &cat);
+            assert_eq!(r.strategy, MaintStrategy::RefreshOnly, "{table}");
+            assert_eq!(r.obstructions.len(), 1, "{table}");
+            let o = &r.obstructions[0];
+            assert_eq!(o.reason, ObstructionKind::NoAggregationRoot, "{table}");
+            assert_eq!(o.box_id, g.root, "{table}");
+        }
     }
 
     #[test]
