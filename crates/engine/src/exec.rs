@@ -24,8 +24,11 @@
 //!   differential-testing oracle and bench baseline.
 //!
 //! ORDER BY + LIMIT uses bounded-heap top-k selection on the parallel path
-//! (equivalent to the serial stable sort + truncate, tie-broken by original
-//! row index).
+//! (equivalent to the serial stable sort + truncate, tie-broken by arrival
+//! order). For the root SELECT it runs inside the morsel scan: each morsel
+//! keeps only its own top k, building a row only once its sort keys, read
+//! as cells, beat the heap's top; a LIMIT without ORDER BY keeps a morsel's
+//! first k rows. The final selection then sees at most k rows per morsel.
 
 use crate::agg::{
     emit_group_rows, grouped_columnar, grouped_partitioned, grouped_serial, plan_group_by, Acc,
@@ -207,7 +210,10 @@ fn cmp_by_keys(a: &Row, b: &Row, keys: &[(usize, bool)]) -> Ordering {
 /// Apply root ORDER BY and LIMIT. With `topk` set and a limit smaller than
 /// the input, bounded-heap selection replaces the full sort; the result is
 /// byte-identical to stable `sort_by` + `truncate` because the selection
-/// order is total (sort keys, then original row index).
+/// order is total (sort keys, then original row index). On the parallel
+/// path a root SELECT's morsels have already cut their output to the rows
+/// that can still win ([`RowBound`]), so this pass sees at most `k` rows
+/// per morsel.
 fn apply_order(g: &QgmGraph, mut rows: Vec<Row>, topk: bool) -> Vec<Row> {
     let keys = &g.order.keys;
     let limit = g.order.limit.map(|n| n as usize);
@@ -228,28 +234,89 @@ fn apply_order(g: &QgmGraph, mut rows: Vec<Row>, topk: bool) -> Vec<Row> {
 /// The `k` first rows of a stable sort by `keys`, selected with a bounded
 /// max-heap in O(n log k) instead of sorting all n rows.
 fn top_k(rows: Vec<Row>, k: usize, keys: &[(usize, bool)]) -> Vec<Row> {
-    if k == 0 {
-        return Vec::new();
+    let mut top = TopK::new(keys, k);
+    for row in rows {
+        top.push(row);
     }
-    let cmp =
-        |a: &(usize, Row), b: &(usize, Row)| cmp_by_keys(&a.1, &b.1, keys).then(a.0.cmp(&b.0));
-    // Max-heap (under the total order) of the k smallest seen so far.
-    let mut heap: Vec<(usize, Row)> = Vec::with_capacity(k);
-    for (i, row) in rows.into_iter().enumerate() {
-        let item = (i, row);
-        if heap.len() < k {
-            heap.push(item);
-            sift_up(&mut heap, &cmp);
-        } else if heap
+    top.into_sorted()
+}
+
+/// Bounded top-k selection: a max-heap of the `k` least rows pushed so far
+/// under the total order (sort keys, arrival). A later arrival loses every
+/// tie, so the rows kept are exactly the first `k` of a stable sort by
+/// `keys` over everything pushed.
+struct TopK<'k> {
+    keys: &'k [(usize, bool)],
+    k: usize,
+    arrivals: usize,
+    heap: Vec<(usize, Row)>,
+}
+
+impl<'k> TopK<'k> {
+    fn new(keys: &'k [(usize, bool)], k: usize) -> TopK<'k> {
+        TopK {
+            keys,
+            k,
+            arrivals: 0,
+            heap: Vec::new(),
+        }
+    }
+
+    /// Would a row whose sort-key cells are `key(ordinal)` enter? Once the
+    /// heap is full the row must sort strictly before its top, since it
+    /// arrives after every kept row and so loses a tie. Lets a caller skip
+    /// building a row that cannot win.
+    fn admits<'c>(&self, mut key: impl FnMut(usize) -> Cell<'c>) -> bool {
+        if self.heap.len() < self.k {
+            return true;
+        }
+        let Some((_, top)) = self.heap.first() else {
+            return false; // k == 0
+        };
+        for &(ord, desc) in self.keys {
+            let c = key(ord).grouping_cmp(&top[ord]);
+            let c = if desc { c.reverse() } else { c };
+            if c != Ordering::Equal {
+                return c == Ordering::Less;
+            }
+        }
+        false
+    }
+
+    fn push(&mut self, row: Row) {
+        let item = (self.arrivals, row);
+        self.arrivals += 1;
+        let cmp = by_keys_then_arrival(self.keys);
+        if self.heap.len() < self.k {
+            self.heap.push(item);
+            sift_up(&mut self.heap, &cmp);
+        } else if self
+            .heap
             .first()
             .is_some_and(|top| cmp(&item, top) == Ordering::Less)
         {
-            heap[0] = item;
-            sift_down(&mut heap, &cmp);
+            self.heap[0] = item;
+            sift_down(&mut self.heap, &cmp);
         }
     }
-    heap.sort_by(cmp);
-    heap.into_iter().map(|(_, r)| r).collect()
+
+    /// The kept rows in (sort keys, arrival) order.
+    fn into_sorted(mut self) -> Vec<Row> {
+        self.heap.sort_by(by_keys_then_arrival(self.keys));
+        self.heap.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// The kept rows in arrival order.
+    fn into_arrival_order(mut self) -> Vec<Row> {
+        self.heap.sort_unstable_by_key(|&(i, _)| i);
+        self.heap.into_iter().map(|(_, r)| r).collect()
+    }
+}
+
+fn by_keys_then_arrival(
+    keys: &[(usize, bool)],
+) -> impl Fn(&(usize, Row), &(usize, Row)) -> Ordering + '_ {
+    move |a, b| cmp_by_keys(&a.1, &b.1, keys).then(a.0.cmp(&b.0))
 }
 
 fn sift_up<T>(h: &mut [T], cmp: &impl Fn(&T, &T) -> Ordering) {
@@ -283,6 +350,83 @@ fn sift_down<T>(h: &mut [T], cmp: &impl Fn(&T, &T) -> Ordering) {
             i = m;
         } else {
             break;
+        }
+    }
+}
+
+/// The root SELECT's share of its graph's ORDER BY … LIMIT: no morsel of
+/// it needs to emit more than the rows that can still reach the result.
+#[derive(Clone, Copy)]
+struct RowBound<'k> {
+    keys: &'k [(usize, bool)],
+    limit: usize,
+}
+
+impl<'k> RowBound<'k> {
+    /// The bound on box `b`'s output: only the root under a LIMIT has one.
+    fn of(g: &'k QgmGraph, b: BoxId) -> Option<RowBound<'k>> {
+        let limit = usize::try_from(g.order.limit?).unwrap_or(usize::MAX);
+        let width = g.boxed(b).outputs.len();
+        (b == g.root && g.order.keys.iter().all(|&(ord, _)| ord < width)).then_some(RowBound {
+            keys: &g.order.keys,
+            limit,
+        })
+    }
+}
+
+/// Where one morsel of a SELECT box emits. Under a [`RowBound`] a morsel
+/// keeps the first `limit` rows it emits (no ORDER BY) or its top `limit`
+/// under (sort keys, emission order), in emission order. Morsels
+/// concatenate in morsel order, so emission order is global scan order and
+/// [`apply_order`] picks from the kept rows exactly what it would pick
+/// from all of them.
+enum Sink<'k> {
+    /// The first `limit` rows; `usize::MAX` keeps every row.
+    First(usize, Vec<Row>),
+    /// The `k` least rows under (sort keys, emission order).
+    Top(TopK<'k>),
+}
+
+impl<'k> Sink<'k> {
+    /// The sink of a morsel over `driver_rows` driver rows, with room for
+    /// `cap` rows when it keeps them all.
+    fn new(bound: Option<RowBound<'k>>, driver_rows: usize, cap: usize) -> Sink<'k> {
+        match bound {
+            Some(RowBound { keys: [], limit }) => {
+                Sink::First(limit, Vec::with_capacity(cap.min(limit)))
+            }
+            // A heap no smaller than the morsel's driver rows seldom drops
+            // a row, so it would only add its sifts.
+            Some(RowBound { keys, limit }) if limit < driver_rows => {
+                Sink::Top(TopK::new(keys, limit))
+            }
+            _ => Sink::First(usize::MAX, Vec::with_capacity(cap)),
+        }
+    }
+
+    fn push(&mut self, row: Row) {
+        match self {
+            Sink::First(limit, rows) => {
+                if rows.len() < *limit {
+                    rows.push(row);
+                }
+            }
+            Sink::Top(top) => top.push(row),
+        }
+    }
+
+    /// No row emitted from now on can be kept: the morsel may stop.
+    fn is_closed(&self) -> bool {
+        match self {
+            Sink::First(limit, rows) => rows.len() >= *limit,
+            Sink::Top(top) => top.k == 0,
+        }
+    }
+
+    fn into_rows(self) -> Vec<Row> {
+        match self {
+            Sink::First(_, rows) => rows,
+            Sink::Top(top) => top.into_arrival_order(),
         }
     }
 }
@@ -1054,8 +1198,10 @@ fn plan_fused(
 /// with no equi-join conjunct matches all of its filtered rows), iterate
 /// matches in build (scan) order — the serial left-deep enumeration order —
 /// filter with the predicates that became fully bound at this level, and
-/// emit one output row per full match. No intermediate tuple is ever
-/// materialized; the bound prefix lives as per-level row cursors (`cur`).
+/// emit one output row per full match into `out`; a row that a top-k sink
+/// would not admit is never built. No intermediate tuple is ever
+/// materialized; the bound prefix lives as per-level row cursors (`cur`),
+/// and `probe_keys` holds one reused key buffer per level still to probe.
 #[allow(clippy::too_many_arguments)]
 fn fused_walk<'c>(
     lvl: usize,
@@ -1067,27 +1213,33 @@ fn fused_walk<'c>(
     scratch: &mut Scratch<'c>,
     out_progs: &'c [Program],
     out_cols: &[Option<(u32, u32)>],
-    out: &mut Vec<Row>,
+    probe_keys: &mut [Vec<Value>],
+    out: &mut Sink<'_>,
 ) {
     let col = |slot: u32| {
         let (lv, ord) = slot_map[slot as usize];
         sources[lv as usize].cell(cur[lv as usize].get() as usize, ord as usize)
     };
     if lvl == levels.len() {
-        let mut row = Vec::with_capacity(out_progs.len());
-        for (p, fast) in out_progs.iter().zip(out_cols) {
-            row.push(match fast {
-                Some((lv, ord)) => sources[*lv as usize]
-                    .cell(cur[*lv as usize].get() as usize, *ord as usize)
-                    .into_value(),
-                None => p.eval_value(&col, scratch),
-            });
+        let mut out_cell = |ord: usize| match out_cols[ord] {
+            Some((lv, o)) => sources[lv as usize].cell(cur[lv as usize].get() as usize, o as usize),
+            None => out_progs[ord].eval_with(&col, scratch),
+        };
+        if let Sink::Top(top) = out {
+            if !top.admits(&mut out_cell) {
+                return;
+            }
         }
+        let row = (0..out_progs.len())
+            .map(|ord| out_cell(ord).into_value())
+            .collect();
         out.push(row);
         return;
     }
     let level = &levels[lvl];
-    let mut key: Vec<Value> = Vec::with_capacity(level.probe.len());
+    let (key, deeper_keys) = probe_keys.split_at_mut(1);
+    let key = &mut key[0];
+    key.clear();
     for p in &level.probe {
         let v = p.eval_value(&col, scratch);
         if v.is_null() {
@@ -1095,7 +1247,7 @@ fn fused_walk<'c>(
         }
         key.push(v);
     }
-    let Some(matches) = tables[lvl - 1].get(&key) else {
+    let Some(matches) = tables[lvl - 1].get(key) else {
         return;
     };
     'matches: for &m in matches {
@@ -1115,6 +1267,7 @@ fn fused_walk<'c>(
             scratch,
             out_progs,
             out_cols,
+            deeper_keys,
             out,
         );
     }
@@ -1183,7 +1336,7 @@ impl ParExec<'_> {
 
     fn exec_select(&mut self, b: BoxId) -> Result<Vec<Row>, ExecError> {
         match self.plan_select(b)? {
-            Some(plan) => self.exec_fused(&plan),
+            Some(plan) => self.exec_fused(&plan, RowBound::of(self.g, b)),
             None => Ok(Vec::new()),
         }
     }
@@ -1249,8 +1402,13 @@ impl ParExec<'_> {
 
     /// Execute a planned SELECT box: build one [`JoinTable`] per non-driver
     /// level, then stream driver morsels depth-first through the levels
-    /// straight into output rows.
-    fn exec_fused(&mut self, plan: &FusedPlan) -> Result<Vec<Row>, ExecError> {
+    /// straight into output rows. Under a `bound` each morsel keeps only
+    /// the rows that can still reach the root's LIMIT (see [`Sink`]).
+    fn exec_fused(
+        &mut self,
+        plan: &FusedPlan,
+        bound: Option<RowBound<'_>>,
+    ) -> Result<Vec<Row>, ExecError> {
         let out_progs = &plan.out_progs;
         if plan.levels.is_empty() {
             // FROM-less SELECT: the empty join is one empty tuple.
@@ -1319,8 +1477,16 @@ impl ParExec<'_> {
             let mut scratch = Scratch::new();
             let cur: Vec<std::cell::Cell<u32>> =
                 (0..levels.len()).map(|_| std::cell::Cell::new(0)).collect();
-            let mut out: Vec<Row> = Vec::with_capacity(if scan_only { range.len() } else { 0 });
+            let mut probe_keys: Vec<Vec<Value>> = levels[1..]
+                .iter()
+                .map(|l| Vec::with_capacity(l.probe.len()))
+                .collect();
+            let cap = if scan_only { range.len() } else { 0 };
+            let mut out = Sink::new(bound, range.len(), cap);
             'rows: for i in range {
+                if out.is_closed() {
+                    break;
+                }
                 for k in &kernels0 {
                     if !k.passes(i) {
                         continue 'rows;
@@ -1333,6 +1499,17 @@ impl ParExec<'_> {
                     }
                 }
                 if scan_only {
+                    // Read the sort keys as cells first: a row the heap
+                    // would not admit is never built.
+                    if let Sink::Top(top) = &out {
+                        let admitted = top.admits(|ord| match out_cols[ord] {
+                            Some((_, c)) => src0.cell(i, c as usize),
+                            None => out_progs[ord].eval_with(&col, &mut scratch),
+                        });
+                        if !admitted {
+                            continue;
+                        }
+                    }
                     let mut row = Vec::with_capacity(out_progs.len());
                     for (p, fast) in out_progs.iter().zip(&out_cols) {
                         row.push(match fast {
@@ -1354,10 +1531,11 @@ impl ParExec<'_> {
                     &mut scratch,
                     out_progs,
                     &out_cols,
+                    &mut probe_keys,
                     &mut out,
                 );
             }
-            out
+            out.into_rows()
         });
         Ok(parts.into_iter().flatten().collect())
     }
@@ -1450,7 +1628,7 @@ impl ParExec<'_> {
             if let Some(rows) = self.group_by_scan(&gb.sets, &plan, &sp) {
                 return Ok(rows);
             }
-            Rc::new(self.exec_fused(&sp)?)
+            Rc::new(self.exec_fused(&sp, None)?)
         } else {
             Rc::default()
         };

@@ -171,11 +171,21 @@ fn fixture() -> (Catalog, Database) {
 }
 
 fn assert_equivalent(sql: &str, catalog: &Catalog, db: &Database) {
+    assert_equivalent_at(sql, catalog, db, &POOLS, &MORSELS);
+}
+
+fn assert_equivalent_at(
+    sql: &str,
+    catalog: &Catalog,
+    db: &Database,
+    pools: &[usize],
+    morsels: &[usize],
+) {
     let q = sumtab::parser::parse_query(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
     let g = build_query(&q, catalog).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
     let serial = execute_serial(&g, db).unwrap_or_else(|e| panic!("{sql}: {e}"));
-    for pool in POOLS {
-        for morsel in MORSELS {
+    for &pool in pools {
+        for &morsel in morsels {
             let opts = ExecOptions {
                 pool_size: pool,
                 morsel_size: morsel,
@@ -268,6 +278,45 @@ const ADVERSARIAL_QUERIES: &[&str] = &[
     "select dim2.w, emptyt.v from dim2, emptyt",
 ];
 
+/// ORDER BY … LIMIT and bare LIMIT at the root: each morsel keeps only the
+/// rows that can still reach the limit, so these run at small morsels
+/// (where a morsel's bound actually drops rows) as well as the default.
+const TOP_K_QUERIES: &[&str] = &[
+    // Heavy ties: `hot.k` is 7 on 90% of the rows, `j` cycles through 11
+    // values, so equal keys straddle every morsel boundary and only
+    // emission order breaks them.
+    "select uniq, k from hot order by k limit 2",
+    "select uniq, k from hot order by k desc limit 5",
+    "select uniq, j, v from hot order by j, v desc limit 40",
+    "select j, uniq from hot where k = 7 order by j desc limit 1",
+    // NULLs in a sort key (NULL sorts first ascending, last descending).
+    "select k, v from nl order by v limit 5",
+    "select k, v from nl order by k desc, v limit 9",
+    "select k, v from nl where v is null or k is null order by k limit 3",
+    // Expression sort keys: read through the output program, not a column.
+    "select uniq, v * 2 - j as e from hot order by e desc limit 6",
+    "select tid, qty * price as amt from trans where qty >= 2 order by amt, tid limit 4",
+    // Join roots: the heap sits behind the fused walk.
+    "select hot.uniq, hotdim.name from hot, hotdim where hot.k = hotdim.k \
+     order by hotdim.name desc, hot.uniq limit 2",
+    "select tid, pgname, price from trans, pgroup where fpgid = pgid \
+     order by price desc, tid limit 5",
+    "select hot.uniq, dim2.w from hot, dim2 order by dim2.w, hot.uniq limit 3",
+    // A root SELECT over a GROUP BY (with and without HAVING).
+    "select k, count(*) as c from hot group by k order by c desc, k limit 2",
+    "select j, sum(v) as s from hot group by j having count(*) > 3 order by s limit 3",
+    // LIMIT 0, LIMIT = n (nl has 300 rows), LIMIT > n.
+    "select k, v from nl order by v limit 0",
+    "select k, v from nl limit 0",
+    "select k, v from nl order by v desc limit 300",
+    "select k, v from nl order by k limit 100000",
+    // LIMIT without ORDER BY keeps the first rows in scan order.
+    "select uniq, k from hot where j > 3 limit 2",
+    "select uniq from hot limit 4001",
+    "select hot.uniq, dim2.w from hot, dim2 where hot.uniq < 30 limit 6",
+    "select k, count(*) as c from hot group by k limit 3",
+];
+
 /// Every figure query of the paper workload, at every configuration.
 #[test]
 fn paper_workload_queries_match_serial() {
@@ -315,6 +364,16 @@ fn adversarial_join_and_aggregate_shapes_match_serial() {
     let (catalog, db) = fixture();
     for sql in ADVERSARIAL_QUERIES {
         assert_equivalent(sql, &catalog, &db);
+    }
+}
+
+/// Top-k inside the morsel scan is byte-identical to the serial stable
+/// sort + truncate at every pool and morsel size.
+#[test]
+fn top_k_and_limit_match_serial() {
+    let (catalog, db) = fixture();
+    for sql in TOP_K_QUERIES {
+        assert_equivalent_at(sql, &catalog, &db, &[1, 2, 4], &[1, 3, 7, 4096]);
     }
 }
 
