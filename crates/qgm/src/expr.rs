@@ -414,6 +414,24 @@ mod tests {
         assert_eq!(a.normalize(), b.normalize());
     }
 
+    /// Operand order across graphs follows the numeric order of graph ids,
+    /// whatever their digit counts: the ids come from a process-global
+    /// counter, so text order would flip when it passes 9, 99, ...
+    #[test]
+    fn normalize_orders_graphs_numerically() {
+        let col = |graph: u32| {
+            let qid = QuantId {
+                graph: GraphId(graph),
+                idx: 0,
+            };
+            ScalarExpr::col(qid, 0)
+        };
+        for (lo, hi) in [(9, 10), (99, 100), (42, 1_234)] {
+            let e = ScalarExpr::bin(BinOp::Eq, col(hi), col(lo));
+            assert_eq!(e.normalize(), ScalarExpr::bin(BinOp::Eq, col(lo), col(hi)));
+        }
+    }
+
     #[test]
     fn normalize_sorts_commutative_operands() {
         let ab = ScalarExpr::bin(

@@ -5,8 +5,16 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Globally unique graph identity; tags every [`QuantId`] so expressions can
 /// safely mix column spaces during matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GraphId(pub u32);
+
+/// Zero-padded, so the `Debug` text that expression normalization orders
+/// operands by sorts ids numerically, whatever their digit counts.
+impl std::fmt::Debug for GraphId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "GraphId({:010})", self.0)
+    }
+}
 
 static NEXT_GRAPH_ID: AtomicU32 = AtomicU32::new(1);
 
