@@ -21,7 +21,9 @@ use std::time::Instant;
 use sumtab::datagen::workloads::{AST1, FIGURES, Q1};
 use sumtab::datagen::{generate, GenConfig};
 use sumtab::matcher::baseline::baseline_matches;
-use sumtab::{format_table, render_graph_sql, sort_rows, Catalog, RegisteredAst, Rewriter, Value};
+use sumtab::{
+    format_table, render_graph_sql, rows_approx_eq, sort_rows, Catalog, RegisteredAst, Rewriter,
+};
 use sumtab_bench::{median_time, prepare};
 
 fn main() {
@@ -263,18 +265,4 @@ fn overhead_section() {
         "\n  (negligible next to execution times above — viable inside \
          an optimizer)"
     );
-}
-
-fn rows_approx_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ra, rb)| {
-            ra.len() == rb.len()
-                && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                    (Value::Double(p), Value::Double(q)) => {
-                        let scale = p.abs().max(q.abs()).max(1.0);
-                        (p - q).abs() <= scale * 1e-9
-                    }
-                    _ => x == y,
-                })
-        })
 }

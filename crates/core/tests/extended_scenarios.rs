@@ -7,7 +7,7 @@
 // test failures, which is exactly what we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sumtab_catalog::{Catalog, Date, Value};
-use sumtab_engine::{execute, materialize, Database};
+use sumtab_engine::{execute, materialize, rows_approx_eq, Database};
 use sumtab_matcher::{RegisteredAst, Rewriter};
 use sumtab_parser::parse_query;
 use sumtab_qgm::build_query;
@@ -92,17 +92,8 @@ fn check(query_sql: &str, ast_sql: &str) {
     a.sort();
     b.sort();
     assert!(!a.is_empty(), "vacuous: {query_sql}");
-    let close = a.len() == b.len()
-        && a.iter().zip(&b).all(|(ra, rb)| {
-            ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                (Value::Double(p), Value::Double(q)) => {
-                    (p - q).abs() <= p.abs().max(q.abs()).max(1.0) * 1e-9
-                }
-                _ => x == y,
-            })
-        });
     assert!(
-        close,
+        rows_approx_eq(&a, &b),
         "results differ for {query_sql}\nrewritten: {}",
         sumtab_qgm::render_graph_sql(&rw.graph)
     );

@@ -48,11 +48,33 @@ pub use plancache::{CacheStats, PlanCache};
 pub use program::{Cell, Program, Resolved, Scratch};
 pub use session::{matched_rows, update_deltas, Session};
 
+use sumtab_catalog::Value;
+
 /// Sort rows with the deterministic `Value` total order; useful for
 /// order-insensitive result comparison in tests and tools.
 pub fn sort_rows(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
     rows
+}
+
+/// Cell equality across plans: doubles within a relative `1e-9` (plans sum
+/// in different orders), everything else exactly.
+pub fn cell_approx_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => {
+            (x - y).abs() <= x.abs().max(y.abs()).max(1.0) * 1e-9
+        }
+        _ => a == b,
+    }
+}
+
+/// Row-list equality under [`cell_approx_eq`], arity included; sort both
+/// sides first ([`sort_rows`]) to compare multisets.
+pub fn rows_approx_eq(a: &[Row], b: &[Row]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(ra, rb)| {
+            ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| cell_approx_eq(x, y))
+        })
 }
 
 /// Render rows as an ASCII table with the given header. Used by the examples

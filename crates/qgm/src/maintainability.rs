@@ -11,7 +11,7 @@
 //!
 //! ## The strategy lattice
 //!
-//! Strategies form a total order, strongest first:
+//! Two strategies, strongest first:
 //!
 //! 1. [`MaintStrategy::CountingDelta`] — inserts *and* deletes (and thus
 //!    updates, as delete + insert) maintain the AST from signed deltas. A
@@ -21,9 +21,7 @@
 //!    dropped. `COUNT`/`SUM` adjust by signed deltas; `MIN`/`MAX` are
 //!    *shrink-sensitive*: a delete that removes the current extremum
 //!    cannot be repaired from the delta alone and forces a recompute.
-//! 2. [`MaintStrategy::InsertDelta`] — only appends maintain the AST
-//!    (the classic insert-only case); deletes and updates refresh.
-//! 3. [`MaintStrategy::RefreshOnly`] — every mutation recomputes.
+//! 2. [`MaintStrategy::RefreshOnly`] — every mutation recomputes.
 //!
 //! Every downgrade from the top of the lattice is explained by a typed
 //! [`Obstruction`] naming the offending box, so EXPLAIN can show *why* an
@@ -31,20 +29,20 @@
 //!
 //! ## Soundness rules
 //!
-//! The insert-delta preconditions (linearity, `SELECT ← simple GROUP BY`
-//! shape over an aggregation-free subgraph, no HAVING/grouping
-//! sets/DISTINCT/scalar subqueries, plain projection) are inherited from
-//! the historical ad-hoc check. On top of those, delete maintenance
-//! requires:
+//! Counting-delta needs linearity in the mutated table, the
+//! `SELECT ← simple GROUP BY` shape over an aggregation-free subgraph, no
+//! HAVING/grouping sets/DISTINCT/scalar subqueries and a plain projection.
+//! Within that shape:
 //!
 //! * **Group liveness**: a per-group count of *all* rows, so a group is
 //!   dropped exactly when it empties. `COUNT(*)` qualifies, as does
-//!   `COUNT(c)` over a non-nullable `c`; otherwise the engine must inject
-//!   a hidden counter column.
-//! * **`SUM` delete-safety**: `SUM(c)` is only delete-self-maintainable
-//!   when `c` is non-nullable. With a nullable argument, `stored − delta`
-//!   cannot reproduce the transition back to `SUM = NULL` when the last
-//!   non-NULL contributor leaves a surviving group.
+//!   `COUNT(c)` over a non-nullable `c`; otherwise the engine injects a
+//!   hidden `COUNT(*)` column.
+//! * **Nullable `SUM`**: `stored − delta` alone cannot reproduce the
+//!   transition back to `SUM = NULL` when the last non-NULL contributor
+//!   leaves a surviving group. Each `SUM(c)` over a nullable `c`
+//!   ([`ColumnOp::Sum`] records it) therefore gets a hidden `COUNT(c)`
+//!   column; the engine sets the sum to NULL when that count reaches zero.
 //! * **`MIN`/`MAX` shrink detection**: subtraction does not exist for
 //!   extrema. They stay under [`MaintStrategy::CountingDelta`] but are
 //!   marked in [`MaintainabilityReport::shrink_sensitive`]; the engine
@@ -58,9 +56,9 @@ use sumtab_catalog::Catalog;
 use sumtab_parser::AggFunc;
 
 /// Name of the hidden per-group row counter injected by
-/// [`augment_with_count`]. The column exists only in backing-table *rows*
-/// (never in the catalog schema), so it is invisible to queries and to the
-/// matcher.
+/// [`augment_with_count`] (a hidden `COUNT(c)` is named after it and its
+/// `SUM`). Hidden columns exist only in backing-table *rows* (never in the
+/// catalog schema), so they are invisible to queries and to the matcher.
 pub const HIDDEN_COUNT_NAME: &str = "__sumtab_rows";
 
 /// The maintenance-strategy lattice, strongest first.
@@ -69,8 +67,6 @@ pub enum MaintStrategy {
     /// Signed-delta maintenance for inserts, deletes, and updates, with a
     /// per-group liveness counter.
     CountingDelta,
-    /// Delta maintenance for inserts only; deletes/updates refresh.
-    InsertDelta,
     /// Every mutation triggers a full recomputation.
     RefreshOnly,
 }
@@ -79,7 +75,6 @@ impl std::fmt::Display for MaintStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             MaintStrategy::CountingDelta => "counting-delta",
-            MaintStrategy::InsertDelta => "insert-delta",
             MaintStrategy::RefreshOnly => "refresh-only",
         })
     }
@@ -97,11 +92,12 @@ pub enum ColumnOp {
         /// Counts every input row, so zero means the group is gone.
         counter_eligible: bool,
     },
-    /// Non-DISTINCT `SUM`: adds on insert; subtracts on delete only when
-    /// `delete_safe` (non-nullable argument — see module docs).
+    /// Non-DISTINCT `SUM`: adds on insert, subtracts on delete. A nullable
+    /// argument gets a hidden `COUNT` of it that says when the sum returns
+    /// to NULL (see module docs).
     Sum {
-        /// Signed subtraction is sound for this column.
-        delete_safe: bool,
+        /// The argument can be NULL.
+        nullable: bool,
     },
     /// `MIN`: extremum merge on insert; shrink-sensitive under delete.
     Min,
@@ -143,9 +139,6 @@ pub enum ObstructionKind {
     /// No grouping column is projected, so delta rows cannot be matched to
     /// stored groups.
     NoGroupingColumn,
-    /// `SUM` over a nullable argument: signed subtraction cannot reproduce
-    /// the transition back to NULL (delete downgrade to insert-only).
-    NullableSumUnderDelete,
     /// `MIN`/`MAX` under delete: kept under counting-delta, but the engine
     /// must recompute when a delete removes the stored extremum.
     ShrinkSensitiveExtremum,
@@ -165,7 +158,6 @@ impl std::fmt::Display for ObstructionKind {
             ObstructionKind::UnloweredAverage => "unlowered-average",
             ObstructionKind::NonMaintainableExpression => "non-maintainable-expression",
             ObstructionKind::NoGroupingColumn => "no-grouping-column",
-            ObstructionKind::NullableSumUnderDelete => "nullable-sum-under-delete",
             ObstructionKind::ShrinkSensitiveExtremum => "shrink-sensitive-extremum",
         })
     }
@@ -202,11 +194,9 @@ pub struct MaintainabilityReport {
     /// [`MaintStrategy::RefreshOnly`].
     pub per_column_ops: Vec<ColumnOp>,
     /// Ordinal of an existing counter-eligible `COUNT` output, when one is
-    /// projected.
+    /// projected; `None` under counting-delta means [`augment_with_count`]
+    /// must inject a hidden one.
     pub counter: Option<usize>,
-    /// Counting-delta needs [`augment_with_count`] to inject a hidden
-    /// counter (no projected `COUNT(*)`-equivalent).
-    pub needs_hidden_counter: bool,
     /// Ordinals of `MIN`/`MAX` columns (recompute-on-shrink under delete).
     pub shrink_sensitive: Vec<usize>,
     /// Every downgrade, attributed and typed.
@@ -220,7 +210,6 @@ impl MaintainabilityReport {
             strategy: MaintStrategy::RefreshOnly,
             per_column_ops: Vec::new(),
             counter: None,
-            needs_hidden_counter: false,
             shrink_sensitive: Vec::new(),
             obstructions,
         }
@@ -405,7 +394,7 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
     // Per-column ops: every root output must be a plain reference to a
     // GROUP BY output that is either a grouping column or a supported,
     // non-DISTINCT aggregate. Nullability of aggregate arguments (for
-    // COUNT counter-eligibility and SUM delete-safety) comes from type
+    // COUNT counter-eligibility and SUM's hidden count) comes from type
     // inference over the GROUP BY's input box.
     let metas = infer_output_types(graph, catalog);
     let arg_nullable = |arg: Option<crate::expr::ColRef>| -> bool {
@@ -466,7 +455,7 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
                         counter_eligible: !arg_nullable(a.arg),
                     },
                     AggFunc::Sum => ColumnOp::Sum {
-                        delete_safe: !arg_nullable(a.arg),
+                        nullable: arg_nullable(a.arg),
                     },
                     AggFunc::Min => ColumnOp::Min,
                     AggFunc::Max => ColumnOp::Max,
@@ -513,39 +502,22 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
         );
     }
 
-    // InsertDelta is certified. Try to upgrade to CountingDelta.
+    // Counting-delta is certified; MIN/MAX only carry an advisory.
     let mut obstructions = Vec::new();
-    let mut strategy = MaintStrategy::CountingDelta;
     let mut shrink_sensitive = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            ColumnOp::Sum { delete_safe: false } => {
-                strategy = MaintStrategy::InsertDelta;
-                obstructions.push(obstruction(
-                    graph,
-                    gb_id,
-                    ObstructionKind::NullableSumUnderDelete,
-                    format!(
-                        "SUM `{}` has a nullable argument: stored − delta cannot \
-                         reproduce SUM = NULL",
-                        root.outputs[i].name
-                    ),
-                ));
-            }
-            ColumnOp::Min | ColumnOp::Max => {
-                shrink_sensitive.push(i);
-                obstructions.push(obstruction(
-                    graph,
-                    gb_id,
-                    ObstructionKind::ShrinkSensitiveExtremum,
-                    format!(
-                        "`{}` is recompute-on-shrink: a delete removing the stored \
-                         extremum forces a refresh",
-                        root.outputs[i].name
-                    ),
-                ));
-            }
-            _ => {}
+        if matches!(op, ColumnOp::Min | ColumnOp::Max) {
+            shrink_sensitive.push(i);
+            obstructions.push(obstruction(
+                graph,
+                gb_id,
+                ObstructionKind::ShrinkSensitiveExtremum,
+                format!(
+                    "`{}` is recompute-on-shrink: a delete removing the stored \
+                     extremum forces a refresh",
+                    root.outputs[i].name
+                ),
+            ));
         }
     }
     let counter = ops.iter().position(|op| {
@@ -556,29 +528,29 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
             }
         )
     });
-    let needs_hidden_counter = strategy == MaintStrategy::CountingDelta && counter.is_none();
 
     MaintainabilityReport {
         table: table_lc,
-        strategy,
+        strategy: MaintStrategy::CountingDelta,
         per_column_ops: ops,
         counter,
-        needs_hidden_counter,
         shrink_sensitive,
         obstructions,
     }
 }
 
-/// Clone `graph` and append a hidden `COUNT(*)` output (named
-/// [`HIDDEN_COUNT_NAME`]) to its GROUP BY box and root SELECT. The hidden
-/// column lands at ordinal `graph.root outputs.len()` — the engine stores
-/// it as an extra trailing value in backing-table rows without registering
-/// it in the catalog schema, so it stays invisible to queries and matching.
+/// Clone `graph` and append a hidden count to its GROUP BY box and root
+/// SELECT: `COUNT(*)` (named [`HIDDEN_COUNT_NAME`]) when `sum` is `None`,
+/// else the `COUNT(arg)` of the `SUM(arg)` at root output ordinal `sum`.
+/// The hidden column lands at ordinal `graph.root outputs.len()` — the
+/// engine stores it as an extra trailing value in backing-table rows
+/// without registering it in the catalog schema, so it stays invisible to
+/// queries and matching.
 ///
 /// Returns `None` when the graph does not have the `SELECT ← GROUP BY`
-/// shape (callers should only invoke this on graphs the analyzer certified
-/// with [`MaintainabilityReport::needs_hidden_counter`]).
-pub fn augment_with_count(graph: &QgmGraph) -> Option<QgmGraph> {
+/// shape, or `sum` does not name an aggregate output (callers should only
+/// invoke this on graphs the analyzer certified).
+pub fn augment_with_count(graph: &QgmGraph, sum: Option<usize>) -> Option<QgmGraph> {
     let mut g = graph.clone();
     let root = g.root;
     let root_q = *g.boxed(root).quants.first()?;
@@ -589,19 +561,32 @@ pub fn augment_with_count(graph: &QgmGraph) -> Option<QgmGraph> {
     if !g.boxed(gb_id).is_group_by() {
         return None;
     }
+    let (name, arg) = match sum {
+        None => (HIDDEN_COUNT_NAME.to_string(), None),
+        Some(s) => {
+            let out = g.boxed(root).outputs.get(s)?;
+            let ScalarExpr::Col(c) = &out.expr else {
+                return None;
+            };
+            let ScalarExpr::Agg(a) = &g.boxed(gb_id).outputs.get(c.ordinal)?.expr else {
+                return None;
+            };
+            (format!("{HIDDEN_COUNT_NAME}_{}", out.name), a.arg)
+        }
+    };
     let gb_ord = g.boxed(gb_id).outputs.len();
     // The GROUP BY layout invariant (grouping columns first, aggregates
     // after) makes appending at the end safe.
     g.boxed_mut(gb_id).outputs.push(OutputCol {
-        name: HIDDEN_COUNT_NAME.into(),
+        name: name.clone(),
         expr: ScalarExpr::Agg(crate::expr::AggCall {
             func: AggFunc::Count,
-            arg: None,
+            arg,
             distinct: false,
         }),
     });
     g.boxed_mut(root).outputs.push(OutputCol {
-        name: HIDDEN_COUNT_NAME.into(),
+        name,
         expr: ScalarExpr::col(root_q, gb_ord),
     });
     Some(g)
@@ -628,7 +613,6 @@ mod tests {
         let r = analyze(&g, "trans", &cat);
         assert_eq!(r.strategy, MaintStrategy::CountingDelta);
         assert_eq!(r.counter, Some(1));
-        assert!(!r.needs_hidden_counter);
         assert!(r.obstructions.is_empty(), "{:?}", r.obstructions);
         assert_eq!(
             r.per_column_ops,
@@ -637,7 +621,7 @@ mod tests {
                 ColumnOp::Count {
                     counter_eligible: true
                 },
-                ColumnOp::Sum { delete_safe: true },
+                ColumnOp::Sum { nullable: false },
             ]
         );
     }
@@ -649,11 +633,46 @@ mod tests {
         let r = analyze(&g, "trans", &cat);
         assert_eq!(r.strategy, MaintStrategy::CountingDelta);
         assert_eq!(r.counter, None);
-        assert!(r.needs_hidden_counter);
-        let aug = augment_with_count(&g).unwrap();
+        let aug = augment_with_count(&g, None).unwrap();
         aug.validate();
         assert_eq!(aug.boxed(aug.root).outputs.len(), 3);
         assert_eq!(aug.boxed(aug.root).outputs[2].name, HIDDEN_COUNT_NAME);
+    }
+
+    /// A SUM over a nullable argument stays counting-delta; its hidden
+    /// `COUNT(arg)` counts the same argument.
+    #[test]
+    fn nullable_sum_is_counting_delta_with_a_hidden_count_of_its_argument() {
+        use sumtab_catalog::{Column, SqlType, Table};
+        let mut cat = Catalog::new();
+        let cols = vec![
+            Column::new("k", SqlType::Int),
+            Column::nullable("v", SqlType::Int),
+        ];
+        cat.add_table(Table::new("n", cols)).unwrap();
+        let g = graph_of(
+            "select k, sum(v) as sv, count(*) as c from n group by k",
+            &cat,
+        );
+        let r = analyze(&g, "n", &cat);
+        assert_eq!(r.strategy, MaintStrategy::CountingDelta);
+        assert_eq!(r.per_column_ops[1], ColumnOp::Sum { nullable: true });
+        assert!(r.obstructions.is_empty(), "{:?}", r.obstructions);
+        assert!(
+            augment_with_count(&g, Some(0)).is_none(),
+            "a key is no aggregate"
+        );
+        let aug = augment_with_count(&g, Some(1)).unwrap();
+        aug.validate();
+        let root = aug.boxed(aug.root);
+        assert_eq!(root.outputs[3].name, format!("{HIDDEN_COUNT_NAME}_sv"));
+        let gb = aug.boxed(aug.input_of(root.quants[0]));
+        let (ScalarExpr::Agg(sum), ScalarExpr::Agg(count)) =
+            (&gb.outputs[1].expr, &gb.outputs.last().unwrap().expr)
+        else {
+            panic!("{:?}", gb.outputs);
+        };
+        assert_eq!((count.func, count.arg), (AggFunc::Count, sum.arg));
     }
 
     #[test]

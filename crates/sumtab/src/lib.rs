@@ -72,7 +72,8 @@ pub use planner::{MaintenanceNote, PlanDetail, RouteDecision, RouterOptions, Ski
 
 pub use sumtab_catalog::{Catalog, Date, SqlType, Value};
 pub use sumtab_engine::{
-    format_table, sort_rows, CacheStats, Database, PlanCache, Row, Session, SumtabError,
+    format_table, rows_approx_eq, sort_rows, CacheStats, Database, PlanCache, Row, Session,
+    SumtabError,
 };
 pub use sumtab_matcher::cost;
 pub use sumtab_matcher::{
@@ -125,8 +126,8 @@ pub struct AstState {
     /// Base table → [`Database::epoch`] at last (re)materialization.
     pub base_epochs: BTreeMap<String, u64>,
     /// The registration-time maintainability analysis: per-base-table
-    /// strategy certificates plus the exec graph (definition, possibly
-    /// augmented with a hidden row counter).
+    /// strategy certificates, the exec graph (definition, possibly
+    /// augmented with hidden counts) and the maintenance plan.
     pub maint: maintain::AstMaintenance,
 }
 
@@ -591,10 +592,11 @@ impl SummarySession {
         let ast = verified_ast(name, query_sql, catalog)?;
         let backing = sumtab_engine::backing_table_schema(name, &ast.graph, catalog)?;
         let st = AstState::new(ast, catalog, db);
-        // The *exec* graph: a counting-delta definition that projects no row
-        // counter materializes with the hidden one as an extra trailing
-        // column, which lives only in backing rows — the catalog schema, and
-        // therefore every query over the summary, never sees it.
+        // The *exec* graph: a counting-delta definition materializes with its
+        // hidden counts (a row counter when it projects none, a COUNT(arg)
+        // per nullable SUM(arg)) as extra trailing columns, which live only
+        // in backing rows — the catalog schema, and therefore every query
+        // over the summary, never sees them.
         let rows = sumtab_engine::execute_with(&st.maint.exec_graph, db, exec)
             .map_err(|e| SumtabError::exec(format!("materialization of `{name}`"), e))?;
         let def = sumtab_catalog::SummaryTableDef {
@@ -718,11 +720,10 @@ impl SummarySession {
     /// record whose pre-images are not all there (one applied twice, a
     /// stale `old_rows`) is refused with nothing changed.
     ///
-    /// A fresh AST whose registration-time certificate covers the change
-    /// merges the delta: any certificate covers appends, removing rows
-    /// needs counting-delta (dropping groups whose row counter reaches
-    /// zero). Everything else — refresh-only shapes, and ASTs already stale,
-    /// which a merge would wrongly stamp fresh — recomputes in full.
+    /// A fresh AST that is counting-delta for `table` merges the delta
+    /// (dropping groups whose row counter reaches zero). Everything else —
+    /// refresh-only shapes, and ASTs already stale, which a merge would
+    /// wrongly stamp fresh — recomputes in full.
     fn apply_delta(
         &mut self,
         table: &str,
@@ -738,11 +739,7 @@ impl SummarySession {
                 continue;
             }
             match st.maint.plan_for(&table_lc) {
-                Some(plan)
-                    if st.staleness(&self.session.db).is_none()
-                        && (removed.is_empty()
-                            || plan.strategy == qgm::MaintStrategy::CountingDelta) =>
-                {
+                Some(plan) if st.staleness(&self.session.db).is_none() => {
                     incremental.push((i, plan))
                 }
                 _ => full.push(st.ast.name.clone()),
@@ -831,8 +828,8 @@ impl SummarySession {
     }
 
     /// Recompute one summary table from current base data. Runs the *exec*
-    /// graph, so a hidden-counter AST re-materializes with its counter
-    /// column intact. Carries the `refresh` failpoint.
+    /// graph, so an AST with hidden counts re-materializes with those
+    /// columns intact. Carries the `refresh` failpoint.
     fn refresh_ast(&mut self, name: &str) -> Result<(), SumtabError> {
         let maintain_err = |detail: &str| SumtabError::Maintain {
             ast: name.to_string(),

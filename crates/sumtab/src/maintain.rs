@@ -3,20 +3,22 @@
 //!
 //! The paper lists AST maintenance as related problem (c) and defers to
 //! Mumick/Quass/Mumick (SIGMOD'97). This module executes the certificates
-//! produced by [`sumtab_qgm::maintainability`]. One function, [`merge`],
-//! applies one statement's change to one AST:
+//! produced by [`sumtab_qgm::maintainability`]: an AST is either
+//! counting-delta for a table or refreshed on every change to it. One
+//! function, [`merge`], applies one statement's change to one AST:
 //!
 //! * **Inserted rows** are aggregated alone and merged into the
-//!   materialized groups — `COUNT`/`SUM` add, `MIN`/`MAX` take the extremum
-//!   (the classic insert-only case); a new group's delta row is its row.
+//!   materialized groups — `COUNT`/`SUM` add, `MIN`/`MAX` take the extremum;
+//!   a new group's delta row is its row.
 //! * **Removed rows** go through counting-based delta maintenance. The
 //!   per-group row counter (a projected `COUNT(*)`-equivalent, or the hidden
 //!   one injected at materialization) tracks group liveness: when it reaches
 //!   zero the whole group row is dropped; `COUNT`/`SUM` columns subtract the
-//!   delta; `MIN`/`MAX` columns are *shrink-sensitive* — a delete whose delta
-//!   extremum ties or beats the stored one may have removed the extremum
-//!   itself, which a delta cannot repair, so the merge reports
-//!   [`DeltaOutcome::NeedsRefresh`] and the caller recomputes.
+//!   delta, and a `SUM` over a nullable argument becomes NULL when its hidden
+//!   `COUNT(arg)` reaches zero; `MIN`/`MAX` columns are *shrink-sensitive* —
+//!   a delete whose delta extremum ties or beats the stored one may have
+//!   removed the extremum itself, which a delta cannot repair, so the merge
+//!   reports [`DeltaOutcome::NeedsRefresh`] and the caller recomputes.
 //! * **An UPDATE is both at once**: the counter makes a group's liveness
 //!   decidable from the delta alone, so only the groups the delta touches
 //!   are read, and the result is one row-level [`Database::mutate`] of the
@@ -31,53 +33,36 @@
 
 use std::collections::BTreeMap;
 use sumtab_catalog::{Catalog, Value};
-use sumtab_engine::{execute, Database, Row};
+use sumtab_engine::{cell_approx_eq, execute, Database, Row};
 use sumtab_qgm::{
     analyze_maintainability, augment_with_count, BoxKind, ColumnOp, MaintStrategy,
     MaintainabilityReport, QgmGraph, VerifyError,
 };
 
 /// The cached registration-time analysis of one AST: per-base-table
-/// certificates plus the graph the engine actually executes (the definition,
-/// or its hidden-counter augmentation when counting-delta maintenance needs
-/// a group-liveness counter that the definition does not project).
+/// certificates, the graph the engine actually executes (the definition,
+/// plus the hidden counts counting-delta maintenance needs) and the one
+/// maintenance plan every counting-delta table shares.
 #[derive(Debug, Clone)]
 pub struct AstMaintenance {
     /// Base table (lower-cased) → maintainability certificate.
     pub reports: BTreeMap<String, MaintainabilityReport>,
     /// The graph executed for materialization, refresh, and delta
-    /// computation. Identical to the definition graph unless
-    /// `hidden_counter`.
+    /// computation: the definition graph with any hidden `COUNT` columns
+    /// appended (stored in backing rows, invisible to the catalog and the
+    /// matcher).
     pub exec_graph: QgmGraph,
-    /// The exec graph carries an extra trailing hidden `COUNT(*)` column
-    /// (stored in backing rows, invisible to the catalog and the matcher).
-    pub hidden_counter: bool,
+    /// The plan over the exec graph's outputs; `None` when no table is
+    /// counting-delta.
+    plan: Option<MaintenancePlan>,
 }
 
 impl AstMaintenance {
-    /// Derive the executable plan for mutations on `table`; `None` when the
+    /// The executable plan for mutations on `table`; `None` when the
     /// certificate says refresh-only (or the table is not read).
     pub fn plan_for(&self, table: &str) -> Option<MaintenancePlan> {
-        let r = self.reports.get(&table.to_ascii_lowercase())?;
-        if r.strategy == MaintStrategy::RefreshOnly {
-            return None;
-        }
-        let mut ops = r.per_column_ops.clone();
-        let mut counter = r.counter;
-        if self.hidden_counter {
-            ops.push(ColumnOp::Count {
-                counter_eligible: true,
-            });
-            if counter.is_none() {
-                counter = Some(ops.len() - 1);
-            }
-        }
-        Some(MaintenancePlan {
-            strategy: r.strategy,
-            ops,
-            counter,
-            shrink_sensitive: r.shrink_sensitive.clone(),
-        })
+        let counting = self.strategy_for(table) == MaintStrategy::CountingDelta;
+        self.plan.clone().filter(|_| counting)
     }
 
     /// The strongest strategy certified for `table`
@@ -91,9 +76,10 @@ impl AstMaintenance {
 }
 
 /// Run the maintainability analysis for every base table an AST definition
-/// reads, and build the exec graph (injecting the hidden counter when any
-/// certificate requests one). Pure function of (graph, catalog) — computed
-/// once at registration, like `MatchSignature`.
+/// reads, and decide the hidden columns of the exec graph and their order:
+/// a `COUNT(*)` first when no counter is projected, then one `COUNT(arg)`
+/// per nullable `SUM(arg)`, in output order. Pure function of (graph,
+/// catalog) — computed once at registration, like `MatchSignature`.
 pub fn analyze_ast(graph: &QgmGraph, catalog: &Catalog) -> AstMaintenance {
     let mut reports = BTreeMap::new();
     for b in &graph.boxes {
@@ -104,37 +90,61 @@ pub fn analyze_ast(graph: &QgmGraph, catalog: &Catalog) -> AstMaintenance {
                 .or_insert_with(|| analyze_maintainability(graph, &t, catalog));
         }
     }
-    let wants_hidden = reports
+    // The per-column ops depend on the root shape alone, so every
+    // counting-delta certificate carries the same ones.
+    let planned = reports
         .values()
-        .any(|r: &MaintainabilityReport| r.needs_hidden_counter);
-    let (exec_graph, hidden_counter) = if wants_hidden {
-        match augment_with_count(graph) {
-            Some(g) => (g, true),
-            // Unreachable for analyzer-certified graphs; stay sound anyway.
-            None => (graph.clone(), false),
-        }
-    } else {
-        (graph.clone(), false)
+        .find(|r| r.strategy == MaintStrategy::CountingDelta)
+        .and_then(|r| plan_of(graph, r));
+    let (exec_graph, plan) = match planned {
+        Some((g, plan)) => (g, Some(plan)),
+        // No counting-delta table, or (unreachable for certified graphs)
+        // an augmentation failed: every change refreshes.
+        None => (graph.clone(), None),
     };
     AstMaintenance {
         reports,
         exec_graph,
-        hidden_counter,
+        plan,
     }
+}
+
+/// The exec graph and plan of a counting-delta certificate.
+fn plan_of(graph: &QgmGraph, r: &MaintainabilityReport) -> Option<(QgmGraph, MaintenancePlan)> {
+    let (mut g, mut ops) = (graph.clone(), r.per_column_ops.clone());
+    let mut hidden_count = |sum: Option<usize>, counter_eligible| {
+        g = augment_with_count(&g, sum)?;
+        ops.push(ColumnOp::Count { counter_eligible });
+        Some(ops.len() - 1)
+    };
+    let counter = r.counter.or_else(|| hidden_count(None, true))?;
+    let mut nullable_sums = Vec::new();
+    for (s, op) in r.per_column_ops.iter().enumerate() {
+        if *op == (ColumnOp::Sum { nullable: true }) {
+            nullable_sums.push((s, hidden_count(Some(s), false)?));
+        }
+    }
+    let plan = MaintenancePlan {
+        ops,
+        counter,
+        nullable_sums,
+        shrink_sensitive: r.shrink_sensitive.clone(),
+    };
+    Some((g, plan))
 }
 
 /// The executable maintenance plan for one (AST, base table) pair: one
 /// [`ColumnOp`] per *exec-graph* output (the certificate's per-column ops
-/// plus the hidden counter, when present).
+/// plus the hidden counts, when present).
 #[derive(Debug, Clone)]
 pub struct MaintenancePlan {
-    /// The certified strategy.
-    pub strategy: MaintStrategy,
     /// Per-backing-column merge behavior.
     pub ops: Vec<ColumnOp>,
-    /// Ordinal of the group-liveness counter (visible or hidden). Always
-    /// `Some` under [`MaintStrategy::CountingDelta`].
-    pub counter: Option<usize>,
+    /// Ordinal of the group-liveness counter (visible or hidden).
+    pub counter: usize,
+    /// `(sum, count)` ordinals: each `SUM` over a nullable argument and the
+    /// hidden `COUNT` of that argument, which says when the sum is NULL.
+    pub nullable_sums: Vec<(usize, usize)>,
     /// Ordinals of shrink-sensitive (`MIN`/`MAX`) columns.
     pub shrink_sensitive: Vec<usize>,
 }
@@ -151,11 +161,11 @@ pub enum DeltaOutcome {
 }
 
 /// Maintenance boundary gate: before a [`MaintenancePlan`] is applied, prove
-/// the exec graph still verifies (passes 1+2) and that the plan's
-/// per-column ops line up one-to-one with the exec graph's root outputs — a
-/// drifted plan would merge deltas into the wrong columns. Callers treat a
-/// failure like any other incremental-maintenance error and degrade to a
-/// full refresh.
+/// the exec graph still verifies (passes 1+2), that the plan's per-column
+/// ops line up one-to-one with the exec graph's root outputs and that its
+/// counter and nullable-sum counts are `COUNT` columns — a drifted plan
+/// would merge deltas into the wrong columns. Callers treat a failure like
+/// any other incremental-maintenance error and degrade to a full refresh.
 pub fn verify_maintenance(
     exec_graph: &QgmGraph,
     plan: &MaintenancePlan,
@@ -169,15 +179,11 @@ pub fn verify_maintenance(
             plan.ops.len()
         )));
     }
-    if plan.strategy == MaintStrategy::CountingDelta {
-        match plan.counter {
-            Some(c) if matches!(plan.ops.get(c), Some(ColumnOp::Count { .. })) => {}
-            _ => {
-                return Err(VerifyError::schema(
-                    "counting-delta plan lacks a COUNT group-liveness counter".to_string(),
-                ))
-            }
-        }
+    let mut counts = std::iter::once(plan.counter).chain(plan.nullable_sums.iter().map(|p| p.1));
+    if counts.any(|c| !matches!(plan.ops.get(c), Some(ColumnOp::Count { .. }))) {
+        return Err(VerifyError::schema(
+            "maintenance plan names a counter that is not a COUNT column".to_string(),
+        ));
     }
     Ok(())
 }
@@ -201,10 +207,10 @@ fn key_cells<'a>(key_idx: &'a [usize], row: &'a Row) -> impl Iterator<Item = &'a
 /// [`Database::mutate`]: old group rows out, new ones in, emptied groups
 /// dropped, a group whose merged row equals its stored row left alone.
 ///
-/// Reports [`DeltaOutcome::NeedsRefresh`], nothing modified, when the plan
-/// does not certify removals, the backing rows do not line up with the
-/// plan, or the removed side cannot be repaired from the delta (counter
-/// underflow, missing group, a possibly-removed extremum).
+/// Reports [`DeltaOutcome::NeedsRefresh`], nothing modified, when the
+/// backing rows do not line up with the plan, or the removed side cannot be
+/// repaired from the delta (counter underflow, missing group, a
+/// possibly-removed extremum).
 pub fn merge(
     exec_graph: &QgmGraph,
     plan: &MaintenancePlan,
@@ -215,14 +221,6 @@ pub fn merge(
     db: &mut Database,
 ) -> Result<DeltaOutcome, sumtab_engine::ExecError> {
     let refuse = |why: String| Ok(DeltaOutcome::NeedsRefresh(why));
-    let strategy = plan.strategy;
-    let counter = plan
-        .counter
-        .filter(|_| strategy == MaintStrategy::CountingDelta);
-    if counter.is_none() && !removed.is_empty() {
-        return refuse(format!("strategy {strategy} does not certify deletes"));
-    }
-
     let mut delta_db = Database::new();
     for b in &exec_graph.boxes {
         if let BoxKind::BaseTable { table: t } = &b.kind {
@@ -242,8 +240,8 @@ pub fn merge(
 
     let (stored_rows, width) = (db.rows(ast_name), plan.ops.len());
     if let Some(w) = stored_rows.first().map(Vec::len).filter(|&w| w != width) {
-        // Legacy backing data without the hidden counter (or other drift):
-        // a refresh re-materializes through the exec graph.
+        // Legacy backing data without a hidden count (or other drift): a
+        // refresh re-materializes through the exec graph.
         return refuse(format!(
             "backing rows have {w} columns, plan expects {width}"
         ));
@@ -283,8 +281,8 @@ pub fn merge(
     let (mut old_rows, mut new_rows) = (Vec::new(), Vec::new());
     for g in groups.values() {
         let mut row = g.stored.cloned();
-        if let (Some(d), Some(cnt)) = (g.del, counter) {
-            row = match subtract(plan, cnt, row, d) {
+        if let Some(d) = g.del {
+            row = match subtract(plan, row, d) {
                 Ok(row) => row,
                 Err(why) => return refuse(why),
             };
@@ -336,15 +334,14 @@ pub fn apply_delete(
 }
 
 /// Counting-based removal of the aggregated delta row `deleted` from its
-/// group's `stored` row: `Ok(None)` when the liveness counter `cnt` reaches
-/// zero (the group vanishes), otherwise the row with signed deltas
-/// subtracted from its `COUNT`/`SUM` columns; keys and surviving extrema
-/// stay. `Err(why)` whenever the stored state is inconsistent with the
-/// delta or a shrink-sensitive extremum might have been removed — a delta
-/// cannot repair either.
+/// group's `stored` row: `Ok(None)` when the liveness counter reaches zero
+/// (the group vanishes), otherwise the row with signed deltas subtracted
+/// from its `COUNT`/`SUM` columns and NULL in every nullable `SUM` whose
+/// count reached zero; keys and surviving extrema stay. `Err(why)` whenever
+/// the stored state is inconsistent with the delta or a shrink-sensitive
+/// extremum might have been removed — a delta cannot repair either.
 fn subtract(
     plan: &MaintenancePlan,
-    cnt: usize,
     stored: Option<Row>,
     deleted: &Row,
 ) -> Result<Option<Row>, String> {
@@ -353,6 +350,7 @@ fn subtract(
     };
     // Group-liveness arithmetic decides removal before anything else: a
     // vanishing group needs no per-column repair.
+    let cnt = plan.counter;
     let (Value::Int(old_n), Value::Int(del_n)) = (&stored[cnt], &deleted[cnt]) else {
         return Err("group counter is not an integer".to_string());
     };
@@ -391,14 +389,21 @@ fn subtract(
                 .ok_or_else(|| format!("cannot subtract delta from column {c}"))?;
         }
     }
+    // Exact even for DOUBLE sums, whose last subtraction leaves rounding
+    // residue rather than 0.0: the count, not the sum, says NULL.
+    for &(s, c) in &plan.nullable_sums {
+        if stored[c] == Value::Int(0) {
+            stored[s] = Value::Null;
+        }
+    }
     Ok(Some(stored))
 }
 
 /// Recompute-equivalence assertion: the maintained backing rows must be a
-/// permutation of a from-scratch recomputation through the exec graph.
-/// Double cells compare with a small relative tolerance (float accumulation
-/// orders differ between merge and recompute); everything else compares
-/// exactly. Returns a description of the first mismatch.
+/// permutation of a from-scratch recomputation through the exec graph,
+/// compared cell by cell with [`cell_approx_eq`] (float accumulation
+/// orders differ between merge and recompute). Returns a description of the first
+/// mismatch.
 pub fn check_equivalence(
     exec_graph: &QgmGraph,
     ast_name: &str,
@@ -420,19 +425,11 @@ pub fn check_equivalence(
         if a.len() != e.len() {
             return Err(format!("row {ri}: arity {} vs {}", a.len(), e.len()));
         }
-        for (ci, (av, ev)) in a.iter().zip(e).enumerate() {
-            let ok = match (av, ev) {
-                (Value::Double(x), Value::Double(y)) => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    (x - y).abs() <= 1e-9 * scale
-                }
-                (a, e) => a == e,
-            };
-            if !ok {
-                return Err(format!(
-                    "row {ri}, column {ci}: maintained {av:?} != recomputed {ev:?}"
-                ));
-            }
+        if let Some(ci) = (0..a.len()).find(|&ci| !cell_approx_eq(&a[ci], &e[ci])) {
+            return Err(format!(
+                "row {ri}, column {ci}: maintained {:?} != recomputed {:?}",
+                a[ci], e[ci]
+            ));
         }
     }
     Ok(())
@@ -482,7 +479,7 @@ mod tests {
     #[test]
     fn merge_value_semantics() {
         let i = |n: i64| Value::Int(n);
-        let add = ColumnOp::Sum { delete_safe: true };
+        let add = ColumnOp::Sum { nullable: false };
         assert_eq!(merge_value(add, &i(3), &i(4)), i(7));
         assert_eq!(merge_value(add, &Value::Null, &i(4)), i(4));
         assert_eq!(merge_value(add, &i(3), &Value::Null), i(3));
@@ -513,10 +510,15 @@ mod tests {
             &cat,
         );
         let m = analyze_ast(&g, &cat);
-        assert!(!m.hidden_counter, "COUNT(*) is already projected");
+        let width = |g: &QgmGraph| g.boxed(g.root).outputs.len();
+        assert_eq!(
+            width(&m.exec_graph),
+            width(&g),
+            "COUNT(*) is already projected"
+        );
         let plan = m.plan_for("trans").unwrap();
-        assert_eq!(plan.strategy, MaintStrategy::CountingDelta);
-        assert_eq!(plan.counter, Some(1));
+        assert_eq!(plan.counter, 1);
+        assert!(plan.nullable_sums.is_empty());
         assert_eq!(plan.shrink_sensitive, vec![3, 4]);
         assert_eq!(plan.ops.len(), 5);
         assert_eq!(plan.ops[0], ColumnOp::Key);
@@ -527,11 +529,10 @@ mod tests {
         let cat = Catalog::credit_card_sample();
         let g = graph_of("select faid, sum(qty) as s from trans group by faid", &cat);
         let m = analyze_ast(&g, &cat);
-        assert!(m.hidden_counter);
         assert_eq!(m.exec_graph.boxed(m.exec_graph.root).outputs.len(), 3);
         let plan = m.plan_for("trans").unwrap();
         assert_eq!(plan.ops.len(), 3);
-        assert_eq!(plan.counter, Some(2));
+        assert_eq!(plan.counter, 2);
         verify_maintenance(&m.exec_graph, &plan, &cat).unwrap();
     }
 
@@ -581,7 +582,7 @@ mod tests {
         plan.ops.push(ColumnOp::Key);
         assert!(verify_maintenance(&m.exec_graph, &plan, &cat).is_err());
         let mut plan2 = m.plan_for("trans").unwrap();
-        plan2.counter = None;
+        plan2.counter = 0;
         assert!(verify_maintenance(&m.exec_graph, &plan2, &cat).is_err());
     }
 }

@@ -7,26 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sumtab::datagen::workloads::FIGURES;
 use sumtab::datagen::{generate, GenConfig};
-use sumtab::{sort_rows, RegisteredAst, Rewriter, Row, Value};
-
-/// Multiset equality with relative tolerance on doubles: re-aggregation
-/// changes floating-point summation order, so partial-sum totals can differ
-/// in the last few ulps.
-fn rows_approx_eq(a: &[Row], b: &[Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(ra, rb)| {
-        ra.len() == rb.len()
-            && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                (Value::Double(p), Value::Double(q)) => {
-                    let scale = p.abs().max(q.abs()).max(1.0);
-                    (p - q).abs() <= scale * 1e-9
-                }
-                _ => x == y,
-            })
-    })
-}
+use sumtab::{rows_approx_eq, sort_rows, RegisteredAst, Rewriter};
 
 fn fixture() -> (sumtab::Catalog, sumtab::Database) {
     generate(&GenConfig {

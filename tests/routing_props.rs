@@ -17,7 +17,7 @@ use sumtab::datagen::workloads::FIGURES;
 use sumtab::datagen::{generate, GenConfig};
 use sumtab::engine::backing_table_schema;
 use sumtab::matcher::stats;
-use sumtab::{RegisteredAst, RouteDecision, RouterOptions, SummarySession, Value};
+use sumtab::{rows_approx_eq, RegisteredAst, RouteDecision, RouterOptions, SummarySession, Value};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -26,25 +26,6 @@ fn serialize() -> MutexGuard<'static, ()> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// Multiset equality with relative tolerance on doubles: base-plan and
-/// AST-plan aggregation sum in different orders, so totals can differ in
-/// the last few ulps (same comparison as `paper_workload`).
-fn rows_approx_eq(a: &[sumtab::Row], b: &[sumtab::Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(ra, rb)| {
-        ra.len() == rb.len()
-            && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                (Value::Double(p), Value::Double(q)) => {
-                    let scale = p.abs().max(q.abs()).max(1.0);
-                    (p - q).abs() <= scale * 1e-9
-                }
-                _ => x == y,
-            })
-    })
 }
 
 /// A session over the generated credit-card data with every figure AST

@@ -8,7 +8,7 @@
 // Tests and examples assert on fixed inputs; unwrap/expect failures are
 // test failures, which is exactly what we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use sumtab::{sort_rows, SummarySession, Value};
+use sumtab::{rows_approx_eq, sort_rows, SummarySession};
 
 fn setup() -> SummarySession {
     let mut s = SummarySession::new();
@@ -102,16 +102,7 @@ fn check_routed(s: &mut SummarySession, sql: &str, expect_ast: &str) {
     );
     let plain = s.query_no_rewrite(sql).unwrap();
     let (a, b) = (sort_rows(fast.rows), sort_rows(plain.rows));
-    let close = a.len() == b.len()
-        && a.iter().zip(&b).all(|(ra, rb)| {
-            ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                (Value::Double(p), Value::Double(q)) => {
-                    (p - q).abs() <= p.abs().max(q.abs()).max(1.0) * 1e-9
-                }
-                _ => x == y,
-            })
-        });
-    assert!(close, "results differ for {sql}");
+    assert!(rows_approx_eq(&a, &b), "results differ for {sql}");
 }
 
 #[test]
