@@ -113,23 +113,10 @@ impl RegisteredAst {
         Ok(RegisteredAst::new(name, graph))
     }
 
-    /// The backing table's column names (uniquified like the materializer).
+    /// The backing table's column names
+    /// ([`sumtab_qgm::backing_column_names`], as the materializer names them).
     pub fn backing_columns(&self) -> Vec<String> {
-        let mut used = std::collections::HashSet::new();
-        self.graph
-            .boxed(self.graph.root)
-            .outputs
-            .iter()
-            .map(|oc| {
-                let mut name = oc.name.clone();
-                let mut n = 2;
-                while !used.insert(name.clone()) {
-                    name = format!("{}_{}", oc.name, n);
-                    n += 1;
-                }
-                name
-            })
-            .collect()
+        sumtab_qgm::backing_column_names(&self.graph)
     }
 }
 

@@ -43,7 +43,7 @@ pub use exec::{
     default_pool_size, execute, execute_serial, execute_with, ExecError, ExecOptions,
     DEFAULT_MORSEL_SIZE,
 };
-pub use materialize::{backing_table_schema, materialize, materialize_with};
+pub use materialize::{backing_table_schema, materialize};
 pub use plancache::{CacheStats, PlanCache};
 pub use program::{Cell, Program, Resolved, Scratch};
 pub use session::{matched_rows, update_deltas, Session};

@@ -5,9 +5,9 @@
 //! graph. The matcher later rewrites queries to scan this backing table.
 
 use crate::db::Database;
-use crate::exec::{execute_with, ExecError, ExecOptions};
+use crate::exec::{execute, ExecError};
 use sumtab_catalog::{Catalog, Column, SqlType, Table};
-use sumtab_qgm::{infer_output_types, QgmGraph};
+use sumtab_qgm::{backing_column_names, infer_output_types, QgmGraph};
 
 /// Errors raised while materializing a summary table.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,24 +46,18 @@ pub fn backing_table_schema(
 ) -> Result<Table, MaterializeError> {
     let metas = infer_output_types(g, catalog);
     let root_metas = &metas[&g.root];
-    let root = g.boxed(g.root);
-    let mut used = std::collections::HashSet::new();
-    let mut columns = Vec::with_capacity(root.outputs.len());
-    for (i, oc) in root.outputs.iter().enumerate() {
-        let mut cname = oc.name.clone();
-        let mut n = 2;
-        while !used.insert(cname.clone()) {
-            cname = format!("{}_{}", oc.name, n);
-            n += 1;
-        }
-        let m = root_metas[i];
-        let ty = m.ty.unwrap_or(SqlType::Varchar);
-        columns.push(if m.nullable {
-            Column::nullable(&cname, ty)
-        } else {
-            Column::new(&cname, ty)
-        });
-    }
+    let columns = backing_column_names(g)
+        .iter()
+        .zip(root_metas)
+        .map(|(cname, m)| {
+            let ty = m.ty.unwrap_or(SqlType::Varchar);
+            if m.nullable {
+                Column::nullable(cname, ty)
+            } else {
+                Column::new(cname, ty)
+            }
+        })
+        .collect();
     Ok(Table::new(name, columns))
 }
 
@@ -76,20 +70,8 @@ pub fn materialize(
     catalog: &Catalog,
     db: &mut Database,
 ) -> Result<Table, MaterializeError> {
-    materialize_with(name, g, catalog, db, &ExecOptions::default())
-}
-
-/// [`materialize`] with explicit executor options — AST refreshes over
-/// large fact tables benefit from the same morsel fan-out as queries.
-pub fn materialize_with(
-    name: &str,
-    g: &QgmGraph,
-    catalog: &Catalog,
-    db: &mut Database,
-    opts: &ExecOptions,
-) -> Result<Table, MaterializeError> {
     let schema = backing_table_schema(name, g, catalog)?;
-    let rows = execute_with(g, db, opts)?;
+    let rows = execute(g, db)?;
     db.put_table(name, rows);
     Ok(schema)
 }

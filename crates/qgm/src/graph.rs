@@ -356,6 +356,27 @@ impl QgmGraph {
     }
 }
 
+/// The column names of a summary table's backing table: the root's output
+/// names, a repeat of an earlier name suffixed `_2`, `_3`, ... until it is
+/// unique.
+pub fn backing_column_names(g: &QgmGraph) -> Vec<String> {
+    let mut used = std::collections::HashSet::new();
+    g.boxed(g.root)
+        .outputs
+        .iter()
+        .map(|oc| {
+            let mut name = oc.name.clone();
+            for n in 2.. {
+                if used.insert(name.clone()) {
+                    break;
+                }
+                name = format!("{}_{n}", oc.name);
+            }
+            name
+        })
+        .collect()
+}
+
 /// Remap quantifier ids in an expression according to `quant_map`; ids
 /// missing from the map (foreign-graph references) are kept as-is.
 pub fn remap_expr(

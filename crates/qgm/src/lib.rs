@@ -37,8 +37,8 @@ pub use dump::dump_graph;
 pub use expr::{AggCall, ColRef, ScalarExpr};
 pub use fingerprint::graph_fingerprint;
 pub use graph::{
-    BoxId, BoxKind, GraphId, GroupByBox, OutputCol, QgmBox, QgmGraph, QuantId, QuantKind,
-    Quantifier, SelectBox,
+    backing_column_names, BoxId, BoxKind, GraphId, GroupByBox, OutputCol, QgmBox, QgmGraph,
+    QuantId, QuantKind, Quantifier, SelectBox,
 };
 pub use grouping::canonical_grouping_sets;
 pub use maintainability::{

@@ -30,14 +30,22 @@
 //! ## Soundness rules
 //!
 //! Counting-delta needs linearity in the mutated table, the
-//! `SELECT ← simple GROUP BY` shape over an aggregation-free subgraph, no
-//! HAVING/grouping sets/DISTINCT/scalar subqueries and a plain projection.
+//! `SELECT ← GROUP BY` shape over an aggregation-free subgraph, no
+//! HAVING/DISTINCT/scalar subqueries and a plain projection.
 //! Within that shape:
 //!
+//! * **One merge key**: the whole grouping tuple, NULL-padded per cuboid.
+//!   Every grouping column must be projected, or groups that differ only
+//!   in the missing one would share a key. Grouping sets (CUBE, ROLLUP)
+//!   need no other rule than non-nullable grouping columns, so that a NULL
+//!   key cell means padding; the delta runs the same `gs(...)` aggregation
+//!   and each delta row merges into its own cuboid's row. A grand total is
+//!   the cuboid with the empty key.
 //! * **Group liveness**: a per-group count of *all* rows, so a group is
-//!   dropped exactly when it empties. `COUNT(*)` qualifies, as does
-//!   `COUNT(c)` over a non-nullable `c`; otherwise the engine injects a
-//!   hidden `COUNT(*)` column.
+//!   dropped exactly when it empties — except the grand total, which
+//!   survives at count 0 as the row aggregation emits over no input.
+//!   `COUNT(*)` qualifies, as does `COUNT(c)` over a non-nullable `c`;
+//!   otherwise the engine injects a hidden `COUNT(*)` column.
 //! * **Nullable `SUM`**: `stored − delta` alone cannot reproduce the
 //!   transition back to `SUM = NULL` when the last non-NULL contributor
 //!   leaves a surviving group. Each `SUM(c)` over a nullable `c`
@@ -120,12 +128,9 @@ pub enum ObstructionKind {
     /// A predicate sits above the aggregation (HAVING): merged groups may
     /// enter or leave the filter, which delta merging cannot express.
     PostAggregationPredicate,
-    /// Multidimensional grouping sets: one delta row would have to merge
-    /// into several cuboids.
+    /// Grouping sets over a nullable grouping column: a NULL in the data
+    /// cannot be told from the NULL that pads the column out of a cuboid.
     GroupingSets,
-    /// Grand-total aggregation (no grouping columns): merging needs an
-    /// existence check the engine does not perform.
-    GrandTotal,
     /// A scalar subquery appears somewhere; its value changes with the
     /// mutation.
     ScalarSubquery,
@@ -136,8 +141,8 @@ pub enum ObstructionKind {
     UnloweredAverage,
     /// An output is not a plain grouping column or supported aggregate.
     NonMaintainableExpression,
-    /// No grouping column is projected, so delta rows cannot be matched to
-    /// stored groups.
+    /// A grouping column is not projected, so the backing rows do not hold
+    /// the whole merge key.
     NoGroupingColumn,
     /// `MIN`/`MAX` under delete: kept under counting-delta, but the engine
     /// must recompute when a delete removes the stored extremum.
@@ -152,7 +157,6 @@ impl std::fmt::Display for ObstructionKind {
             ObstructionKind::NoAggregationRoot => "no-aggregation-root",
             ObstructionKind::PostAggregationPredicate => "post-aggregation-predicate",
             ObstructionKind::GroupingSets => "grouping-sets",
-            ObstructionKind::GrandTotal => "grand-total",
             ObstructionKind::ScalarSubquery => "scalar-subquery",
             ObstructionKind::DistinctAggregate => "distinct-aggregate",
             ObstructionKind::UnloweredAverage => "unlowered-average",
@@ -203,19 +207,6 @@ pub struct MaintainabilityReport {
     pub obstructions: Vec<Obstruction>,
 }
 
-impl MaintainabilityReport {
-    fn refresh_only(table: &str, obstructions: Vec<Obstruction>) -> MaintainabilityReport {
-        MaintainabilityReport {
-            table: table.to_ascii_lowercase(),
-            strategy: MaintStrategy::RefreshOnly,
-            per_column_ops: Vec::new(),
-            counter: None,
-            shrink_sensitive: Vec::new(),
-            obstructions,
-        }
-    }
-}
-
 fn obstruction(
     g: &QgmGraph,
     b: BoxId,
@@ -236,6 +227,15 @@ fn obstruction(
 /// [`MaintStrategy::CountingDelta`].
 pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> MaintainabilityReport {
     let table_lc = table.to_ascii_lowercase();
+    // Every refusal names one box and its typed reason.
+    let refuse = |b: BoxId, reason: ObstructionKind, detail: String| MaintainabilityReport {
+        table: table_lc.clone(),
+        strategy: MaintStrategy::RefreshOnly,
+        per_column_ops: Vec::new(),
+        counter: None,
+        shrink_sensitive: Vec::new(),
+        obstructions: vec![obstruction(graph, b, reason, detail)],
+    };
 
     // Linearity: the mutated table must occur exactly once, otherwise the
     // delta query over the changed rows alone does not compute the change
@@ -250,26 +250,18 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
         .collect();
     match occurrences.len() {
         0 => {
-            return MaintainabilityReport::refresh_only(
-                &table_lc,
-                vec![obstruction(
-                    graph,
-                    graph.root,
-                    ObstructionKind::TableNotRead,
-                    format!("definition never reads `{table_lc}`"),
-                )],
+            return refuse(
+                graph.root,
+                ObstructionKind::TableNotRead,
+                format!("definition never reads `{table_lc}`"),
             )
         }
         1 => {}
         n => {
-            return MaintainabilityReport::refresh_only(
-                &table_lc,
-                vec![obstruction(
-                    graph,
-                    occurrences[1],
-                    ObstructionKind::NonLinear,
-                    format!("`{table_lc}` occurs {n} times (self-join)"),
-                )],
+            return refuse(
+                occurrences[1],
+                ObstructionKind::NonLinear,
+                format!("`{table_lc}` occurs {n} times (self-join)"),
             )
         }
     }
@@ -278,70 +270,49 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
     // can change with the mutation while the delta query sees only delta
     // rows.
     if let Some(q) = graph.quants.iter().find(|q| q.kind == QuantKind::Scalar) {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                q.owner,
-                ObstructionKind::ScalarSubquery,
-                "scalar subquery value changes with the base data",
-            )],
+        return refuse(
+            q.owner,
+            ObstructionKind::ScalarSubquery,
+            "scalar subquery value changes with the base data".into(),
         );
     }
 
-    // Shape: root SELECT (pure projection, no predicates) over one simple
-    // GROUP BY.
+    // Shape: root SELECT (pure projection, no predicates) over one GROUP BY.
     let root = graph.boxed(graph.root);
     let Some(sel) = root.as_select() else {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                graph.root,
-                ObstructionKind::NoAggregationRoot,
-                "root box is not a SELECT over a GROUP BY",
-            )],
+        return refuse(
+            graph.root,
+            ObstructionKind::NoAggregationRoot,
+            "root box is not a SELECT over a GROUP BY".into(),
         );
     };
     if root.quants.len() != 1 || graph.quant(root.quants[0]).kind != QuantKind::Foreach {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                graph.root,
-                ObstructionKind::NoAggregationRoot,
-                "root must range over exactly one FOREACH quantifier",
-            )],
+        return refuse(
+            graph.root,
+            ObstructionKind::NoAggregationRoot,
+            "root must range over exactly one FOREACH quantifier".into(),
         );
     }
     let root_q = root.quants[0];
     let gb_id = graph.input_of(root_q);
     let gb = graph.boxed(gb_id);
     let Some(gbk) = gb.as_group_by() else {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                gb_id,
-                ObstructionKind::NoAggregationRoot,
-                "root SELECT does not consume a GROUP BY box",
-            )],
+        return refuse(
+            gb_id,
+            ObstructionKind::NoAggregationRoot,
+            "root SELECT does not consume a GROUP BY box".into(),
         );
     };
     // Only now is a root predicate a HAVING: over anything but a GROUP BY
     // it is a plain WHERE, and the shape checks above name the obstruction.
     if !sel.predicates.is_empty() {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                graph.root,
-                ObstructionKind::PostAggregationPredicate,
-                format!(
-                    "{} predicate(s) above the aggregation (HAVING)",
-                    sel.predicates.len()
-                ),
-            )],
+        return refuse(
+            graph.root,
+            ObstructionKind::PostAggregationPredicate,
+            format!(
+                "{} predicate(s) above the aggregation (HAVING)",
+                sel.predicates.len()
+            ),
         );
     }
     // Nested aggregation: aggregating only the delta rows through an inner
@@ -355,47 +326,15 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
         .rev()
         .find(|&b| b != gb_id && graph.boxed(b).is_group_by());
     if let Some(inner) = inner_gb {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                inner,
-                ObstructionKind::NoAggregationRoot,
-                "nested aggregation: a GROUP BY below the root GROUP BY",
-            )],
+        return refuse(
+            inner,
+            ObstructionKind::NoAggregationRoot,
+            "nested aggregation: a GROUP BY below the root GROUP BY".into(),
         );
     }
-    if !gbk.is_simple() {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                gb_id,
-                ObstructionKind::GroupingSets,
-                format!(
-                    "{} grouping sets: one delta row would merge into several cuboids",
-                    gbk.sets.len()
-                ),
-            )],
-        );
-    }
-    if gbk.items.is_empty() {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                gb_id,
-                ObstructionKind::GrandTotal,
-                "grand-total aggregation has no merge key",
-            )],
-        );
-    }
-
-    // Per-column ops: every root output must be a plain reference to a
-    // GROUP BY output that is either a grouping column or a supported,
-    // non-DISTINCT aggregate. Nullability of aggregate arguments (for
-    // COUNT counter-eligibility and SUM's hidden count) comes from type
-    // inference over the GROUP BY's input box.
+    // Nullability of grouping items and aggregate arguments (for COUNT
+    // counter-eligibility and SUM's hidden count) comes from type inference
+    // over the GROUP BY's input box.
     let metas = infer_output_types(graph, catalog);
     let arg_nullable = |arg: Option<crate::expr::ColRef>| -> bool {
         match arg {
@@ -411,43 +350,61 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
             }
         }
     };
+    let item_name =
+        |c: crate::expr::ColRef| &graph.boxed(graph.input_of(c.qid)).outputs[c.ordinal].name;
 
+    // The merge key is the whole grouping tuple, NULL-padded per cuboid.
+    // Over several grouping sets a NULL key cell must mean "not in this
+    // cuboid", so no grouping column may be NULL itself. (Read from the
+    // item's input column: the padding makes every GROUP BY output
+    // nullable.)
+    if let Some(item) = gbk
+        .items
+        .iter()
+        .find(|&&i| !gbk.is_simple() && arg_nullable(Some(i)))
+    {
+        return refuse(
+            gb_id,
+            ObstructionKind::GroupingSets,
+            format!(
+                "grouping column `{}` is nullable: its NULL would merge into \
+                 another cuboid's padded key",
+                item_name(*item)
+            ),
+        );
+    }
+
+    // Per-column ops: every root output must be a plain reference to a
+    // GROUP BY output that is either a grouping column or a supported,
+    // non-DISTINCT aggregate.
+    let mut keys = Vec::new();
     let mut ops: Vec<ColumnOp> = Vec::with_capacity(root.outputs.len());
     for oc in &root.outputs {
         let ScalarExpr::Col(c) = &oc.expr else {
-            return MaintainabilityReport::refresh_only(
-                &table_lc,
-                vec![obstruction(
-                    graph,
-                    graph.root,
-                    ObstructionKind::NonMaintainableExpression,
-                    format!("output `{}` is not a plain column reference", oc.name),
-                )],
+            return refuse(
+                graph.root,
+                ObstructionKind::NonMaintainableExpression,
+                format!("output `{}` is not a plain column reference", oc.name),
             );
         };
         if c.qid != root_q || c.ordinal >= gb.outputs.len() {
-            return MaintainabilityReport::refresh_only(
-                &table_lc,
-                vec![obstruction(
-                    graph,
-                    graph.root,
-                    ObstructionKind::NonMaintainableExpression,
-                    format!("output `{}` does not reference the GROUP BY box", oc.name),
-                )],
+            return refuse(
+                graph.root,
+                ObstructionKind::NonMaintainableExpression,
+                format!("output `{}` does not reference the GROUP BY box", oc.name),
             );
         }
         let op = match &gb.outputs[c.ordinal].expr {
-            ScalarExpr::Col(_) => ColumnOp::Key,
+            ScalarExpr::Col(item) => {
+                keys.push(*item);
+                ColumnOp::Key
+            }
             ScalarExpr::Agg(a) => {
                 if a.distinct {
-                    return MaintainabilityReport::refresh_only(
-                        &table_lc,
-                        vec![obstruction(
-                            graph,
-                            gb_id,
-                            ObstructionKind::DistinctAggregate,
-                            format!("DISTINCT aggregate `{}`", oc.name),
-                        )],
+                    return refuse(
+                        gb_id,
+                        ObstructionKind::DistinctAggregate,
+                        format!("DISTINCT aggregate `{}`", oc.name),
                     );
                 }
                 match a.func {
@@ -460,45 +417,37 @@ pub fn analyze(graph: &QgmGraph, table: &str, catalog: &Catalog) -> Maintainabil
                     AggFunc::Min => ColumnOp::Min,
                     AggFunc::Max => ColumnOp::Max,
                     AggFunc::Avg => {
-                        return MaintainabilityReport::refresh_only(
-                            &table_lc,
-                            vec![obstruction(
-                                graph,
-                                gb_id,
-                                ObstructionKind::UnloweredAverage,
-                                format!("AVG `{}` should have been lowered to SUM/COUNT", oc.name),
-                            )],
+                        return refuse(
+                            gb_id,
+                            ObstructionKind::UnloweredAverage,
+                            format!("AVG `{}` should have been lowered to SUM/COUNT", oc.name),
                         );
                     }
                 }
             }
             _ => {
-                return MaintainabilityReport::refresh_only(
-                    &table_lc,
-                    vec![obstruction(
-                        graph,
-                        gb_id,
-                        ObstructionKind::NonMaintainableExpression,
-                        format!(
-                            "GROUP BY output `{}` is neither a grouping column \
-                             nor a simple aggregate",
-                            gb.outputs[c.ordinal].name
-                        ),
-                    )],
+                return refuse(
+                    gb_id,
+                    ObstructionKind::NonMaintainableExpression,
+                    format!(
+                        "GROUP BY output `{}` is neither a grouping column \
+                         nor a simple aggregate",
+                        gb.outputs[c.ordinal].name
+                    ),
                 );
             }
         };
         ops.push(op);
     }
-    if !ops.contains(&ColumnOp::Key) {
-        return MaintainabilityReport::refresh_only(
-            &table_lc,
-            vec![obstruction(
-                graph,
-                graph.root,
-                ObstructionKind::NoGroupingColumn,
-                "no grouping column is projected; delta rows cannot find their group",
-            )],
+    if let Some(item) = gbk.items.iter().find(|i| !keys.contains(i)) {
+        return refuse(
+            graph.root,
+            ObstructionKind::NoGroupingColumn,
+            format!(
+                "grouping column `{}` is not projected; groups that differ only \
+                 in it would share one merge key",
+                item_name(*item)
+            ),
         );
     }
 

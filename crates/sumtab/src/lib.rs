@@ -752,11 +752,7 @@ impl SummarySession {
         // pre-image returns here with nothing changed — no AST may be
         // handed a delta the base table did not take.
         let Session { catalog, db, .. } = &mut self.session;
-        if removed.is_empty() {
-            db.insert(catalog, table, inserted.to_vec())?;
-        } else {
-            db.replace_rows(catalog, table, removed, inserted.to_vec())?;
-        }
+        db.replace_rows(catalog, table, removed, inserted.to_vec())?;
         // From here on the record has taken effect: failures are collected,
         // never returned.
         let mut applied = Applied::default();

@@ -5,7 +5,11 @@
 //! Mumick/Quass/Mumick (SIGMOD'97). This module executes the certificates
 //! produced by [`sumtab_qgm::maintainability`]: an AST is either
 //! counting-delta for a table or refreshed on every change to it. One
-//! function, [`merge`], applies one statement's change to one AST:
+//! function, [`merge`], applies one statement's change to one AST. Its key
+//! is the whole grouping tuple, NULL-padded per cuboid, so one merge serves
+//! a plain GROUP BY, a grand total and grouping sets alike: the delta runs
+//! the same `gs(...)` aggregation, and each delta row lands on its own
+//! cuboid's row.
 //!
 //! * **Inserted rows** are aggregated alone and merged into the
 //!   materialized groups — `COUNT`/`SUM` add, `MIN`/`MAX` take the extremum;
@@ -13,7 +17,10 @@
 //! * **Removed rows** go through counting-based delta maintenance. The
 //!   per-group row counter (a projected `COUNT(*)`-equivalent, or the hidden
 //!   one injected at materialization) tracks group liveness: when it reaches
-//!   zero the whole group row is dropped; `COUNT`/`SUM` columns subtract the
+//!   zero the whole group row is dropped — except the grand total (the
+//!   group of the empty grouping set), which becomes the row aggregation
+//!   emits over no input, `COUNT`s 0 and every other aggregate NULL;
+//!   `COUNT`/`SUM` columns subtract the
 //!   delta, and a `SUM` over a nullable argument becomes NULL when its hidden
 //!   `COUNT(arg)` reaches zero; `MIN`/`MAX` columns are *shrink-sensitive* —
 //!   a delete whose delta extremum ties or beats the stored one may have
@@ -124,11 +131,14 @@ fn plan_of(graph: &QgmGraph, r: &MaintainabilityReport) -> Option<(QgmGraph, Mai
             nullable_sums.push((s, hidden_count(Some(s), false)?));
         }
     }
+    let gb = graph.input_of(*graph.boxed(graph.root).quants.first()?);
+    let sets = &graph.boxed(gb).as_group_by()?.sets;
     let plan = MaintenancePlan {
         ops,
         counter,
         nullable_sums,
         shrink_sensitive: r.shrink_sensitive.clone(),
+        grand_total: sets.iter().any(Vec::is_empty),
     };
     Some((g, plan))
 }
@@ -147,6 +157,9 @@ pub struct MaintenancePlan {
     pub nullable_sums: Vec<(usize, usize)>,
     /// Ordinals of shrink-sensitive (`MIN`/`MAX`) columns.
     pub shrink_sensitive: Vec<usize>,
+    /// The GROUP BY has the empty grouping set: its group, the one whose
+    /// keys are all NULL, survives at count 0.
+    pub grand_total: bool,
 }
 
 /// The outcome of an incremental apply that ran to completion.
@@ -335,7 +348,8 @@ pub fn apply_delete(
 
 /// Counting-based removal of the aggregated delta row `deleted` from its
 /// group's `stored` row: `Ok(None)` when the liveness counter reaches zero
-/// (the group vanishes), otherwise the row with signed deltas subtracted
+/// (the group vanishes; the grand total instead becomes its empty-input
+/// row), otherwise the row with signed deltas subtracted
 /// from its `COUNT`/`SUM` columns and NULL in every nullable `SUM` whose
 /// count reached zero; keys and surviving extrema stay. `Err(why)` whenever
 /// the stored state is inconsistent with the delta or a shrink-sensitive
@@ -360,7 +374,20 @@ fn subtract(
         ));
     }
     if old_n == del_n {
-        return Ok(None);
+        let null_key = |(op, v): (&ColumnOp, &Value)| *op != ColumnOp::Key || v.is_null();
+        if !plan.grand_total || !plan.ops.iter().zip(&stored).all(null_key) {
+            return Ok(None);
+        }
+        // The grand total outlives its rows, as aggregation over no input
+        // emits it: COUNTs 0, every other aggregate NULL.
+        for (c, op) in plan.ops.iter().enumerate() {
+            match op {
+                ColumnOp::Key => {}
+                ColumnOp::Count { .. } => stored[c] = Value::Int(0),
+                _ => stored[c] = Value::Null,
+            }
+        }
+        return Ok(Some(stored));
     }
     // Shrink detection: if the delta's extremum ties or beats the stored
     // one, the stored extremum may be among the deleted rows.
@@ -541,7 +568,6 @@ mod tests {
         let cat = Catalog::credit_card_sample();
         for sql in [
             "select faid, count(*) as c from trans group by faid having count(*) > 1",
-            "select count(*) as c from trans",
             "select faid, count(distinct flid) as c from trans group by faid",
             "select faid, count(*) as c, (select count(*) from trans) as t \
              from trans group by faid",

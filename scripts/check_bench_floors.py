@@ -30,14 +30,18 @@ def exec_(data):
 
 def maintenance(data):
     # Full refresh over incremental maintenance of the same DELETE/UPDATE
-    # statements at the largest size, and (full mode only: --quick has no
-    # 1,024- and 32,768-row points) how an incremental DELETE grows.
+    # statements at the largest size, for the GROUP BY summary and for the
+    # grouping-sets one, and (full mode only: --quick has no 1,024- and
+    # 32,768-row points) how an incremental DELETE grows.
     sweeps = data["sweeps"]
-    worst, floor = sweeps[-1], data["min_refresh_over_incremental"]
-    if worst["refresh_over_incremental"] < floor:
-        yield (f"refresh is only {worst['refresh_over_incremental']}x "
-               f"incremental maintenance at {worst['rows']} rows "
-               f"(floor {floor}x)")
+    worst = sweeps[-1]
+    for prefix, summary in (("", "the GROUP BY summary"),
+                            ("gs_", "the grouping-sets summary")):
+        ratio = worst[f"{prefix}refresh_over_incremental"]
+        floor = data[f"min_{prefix}refresh_over_incremental"]
+        if ratio < floor:
+            yield (f"refresh of {summary} is only {ratio}x incremental "
+                   f"maintenance at {worst['rows']} rows (floor {floor}x)")
     if not data["quick"]:
         by_rows = {s["rows"]: s["delete_incremental_ns"] for s in sweeps}
         growth, ceiling = by_rows[32768] / by_rows[1024], data["max_delete_growth"]

@@ -5,7 +5,8 @@
 //!
 //! 1. **Soundness** — seeded random scripts of mixed INSERT/DELETE/UPDATE
 //!    statements against a mix of summary-table shapes (visible counter,
-//!    hidden counter, MIN/MAX, nullable SUM, joined dimension). After every
+//!    hidden counter, MIN/MAX, nullable SUM, joined dimension, grouping
+//!    sets, grand total). After every
 //!    statement the session's answer to each probe query must be
 //!    byte-identical to a from-scratch recomputation over the base tables,
 //!    and only the shrink-sensitive summary may degrade to a refresh. The
@@ -14,8 +15,9 @@
 //!    debug and the probe comparison in release.
 //!
 //! 2. **Mutation kill** — a suite of non-maintainable definition classes
-//!    (HAVING, grand total, DISTINCT aggregates, scalar subquery, self-join,
-//!    expression outputs, ...): each must be rejected with a *typed*
+//!    (HAVING, DISTINCT aggregates, scalar subquery, self-join, expression
+//!    outputs, an unprojected grouping column, ...): each must be rejected
+//!    with a *typed*
 //!    obstruction that names the offending box.
 //!
 //! Seeds are deterministic but overridable via `SUMTAB_MAINTAIN_SEED`.
@@ -25,8 +27,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use sumtab::maintain::{self, DeltaOutcome};
 use sumtab::persist::WalRecord;
-use sumtab::qgm::{analyze_maintainability, build_query, MaintStrategy, ObstructionKind};
-use sumtab::{render_graph_sql, sort_rows, Applied, Catalog, PlanDetail, Row, SummarySession};
+use sumtab::qgm::{
+    analyze_maintainability, build_query, MaintStrategy, MaintainabilityReport, ObstructionKind,
+};
+use sumtab::{
+    render_graph_sql, sort_rows, Applied, Catalog, PlanDetail, Row, SummarySession, Value,
+};
 use sumtab_parser::{parse_query, parse_statements};
 
 /// SplitMix64 — tiny, deterministic, good enough for workload shuffling.
@@ -75,6 +81,10 @@ const SETUP: &str = "
       (select d, sum(w) as sw, count(*) as c from f group by d);
     create summary table s_joined as
       (select grp, sum(v) as sv, count(*) as c from f, dim where f.d = dim.d group by grp);
+    create summary table s_sets as
+      (select d, v, sum(w) as sw from f group by grouping sets ((d), (d, v), ()));
+    create summary table s_total as
+      (select count(*) as c, sum(v) as sv, sum(w) as sw from f);
     create summary table s_nested as
       (select d, c, count(*) as n from
          (select d, v, count(*) as c from f group by d, v) as m group by d, c);
@@ -85,8 +95,13 @@ const PROBES: &[&str] = &[
     "select d, min(v) as mn, max(v) as mx from f group by d",
     "select d, sum(w) as sw from f group by d",
     "select grp, sum(v) as sv from f, dim where f.d = dim.d group by grp",
+    "select d, v, sum(w) as sw from f group by grouping sets ((d), (d, v), ())",
+    TOTAL_PROBE,
     NESTED_PROBE,
 ];
+
+/// The grand total: one row even over an empty `f`.
+const TOTAL_PROBE: &str = "select count(*) as c, sum(v) as sv, sum(w) as sw from f";
 
 /// The AST8 shape (a histogram over a histogram): not delta-maintainable,
 /// so `s_nested` must refresh on every mutation.
@@ -99,6 +114,8 @@ const SUMMARIES: &[&str] = &[
     "s_extrema",
     "s_nullable",
     "s_joined",
+    "s_sets",
+    "s_total",
     "s_nested",
 ];
 
@@ -210,10 +227,11 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         let view = |s: &SummarySession, name: &str| Arc::as_ptr(&s.session.db.columnar(name));
         for step in 0..62 {
             let views: Vec<_> = SUMMARIES.iter().map(|n| view(&s, n)).collect();
-            // Two fixed-schedule steps draw no random numbers, so the DML
+            let live_rows = s.session.db.row_count("f");
+            // Three fixed-schedule steps draw no random numbers, so the DML
             // script is the one the other 60 steps always ran: an
             // out-of-session epoch bump leaves every summary stale, then a
-            // refresh makes one fresh again.
+            // refresh makes one fresh again; later every row of `f` goes.
             let (stmt, maintained) = match step {
                 21 => {
                     s.session.db.bump_epoch("f");
@@ -224,7 +242,10 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                     ("refresh(s_counting)".to_string(), Vec::new())
                 }
                 _ => {
-                    let stmt = gen_stmt(&mut rng, &mut next_id);
+                    let stmt = match step {
+                        41 => "delete from f".to_string(),
+                        _ => gen_stmt(&mut rng, &mut next_id),
+                    };
                     let applied = run_dml(&mut s, &stmt);
                     // Only a removed extremum may force a refresh; any other
                     // degradation is a merge the equivalence gate refused.
@@ -236,6 +257,17 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                     (stmt, applied.maintained)
                 }
             };
+            if step == 41 {
+                // The grand total outlives the emptied table, by a merge: the
+                // row aggregation emits over no input, hidden counts included.
+                let total_merged = maintained.iter().any(|n| n == "s_total");
+                assert_eq!(total_merged, live_rows > 0, "seed {seed:#x}");
+                let (null, zero) = (Value::Null, Value::Int(0));
+                let empty = vec![zero.clone(), null.clone(), null.clone(), zero.clone()];
+                assert_eq!(s.session.db.rows("s_total"), [empty], "seed {seed:#x}");
+                let padded = vec![null.clone(), null.clone(), null, zero.clone(), zero];
+                assert_eq!(s.session.db.rows("s_sets"), [padded], "seed {seed:#x}");
+            }
             for name in maintained {
                 let i = SUMMARIES.iter().position(|n| **n == name).unwrap();
                 assert_eq!(
@@ -257,7 +289,7 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         }
         // Every certified shape merged at least once — `s_hidden` with rows
         // wider than its catalog schema; `s_nested` never.
-        let certified: BTreeSet<String> = SUMMARIES[..5].iter().map(|n| n.to_string()).collect();
+        let certified: BTreeSet<String> = SUMMARIES[..7].iter().map(|n| n.to_string()).collect();
         assert_eq!(merged, certified, "seed {seed:#x}");
         // Every summary must still be fresh enough to serve its own
         // definition (maintained or refreshed — never silently stale).
@@ -290,19 +322,21 @@ fn update_shapes_merge_once_and_match_recompute() {
         /// Summaries whose merged rows equal their stored rows.
         untouched: &'static [&'static str],
     }
-    const COUNTING: [&str; 5] = [
+    const COUNTING: [&str; 7] = [
         "s_counting",
         "s_hidden",
         "s_extrema",
         "s_nullable",
         "s_joined",
+        "s_sets",
+        "s_total",
     ];
     let cases = [
         // A row moves from group d=0 to d=1 (both map to grp 0 in `dim`).
         Case {
             sql: "update f set d = 1 where id = 2",
             refused: &[],
-            untouched: &["s_joined"],
+            untouched: &["s_joined", "s_total"],
         },
         // id 6 is all of d=2 (and of grp 1): the removed side empties the
         // group, the inserted side re-creates it.
@@ -573,12 +607,66 @@ fn kill_having_predicate() {
     );
 }
 
+/// A grand total is the cuboid whose key is empty, and CUBE and ROLLUP are
+/// grouping sets over non-nullable columns: all of them are counting-delta.
 #[test]
 fn kill_grand_total() {
-    assert_killed(
+    for sql in [
         "select count(*) as c from trans",
-        "trans",
-        ObstructionKind::GrandTotal,
+        "select sum(qty) as s from trans",
+        "select faid, flid, count(*) as c from trans group by cube(faid, flid)",
+        "select faid, flid, sum(qty) as s from trans group by rollup(faid, flid)",
+    ] {
+        let (strategy, obs) = analyze(sql, "trans");
+        assert_eq!(strategy, MaintStrategy::CountingDelta, "`{sql}`: {obs:?}");
+        assert!(obs.is_empty(), "`{sql}`: {obs:?}");
+    }
+}
+
+/// The certificate of `sql` for `f`, over the schema [`SETUP`] creates.
+fn analyze_f(sql: &str) -> MaintainabilityReport {
+    let mut s = SummarySession::new();
+    s.run_script(SETUP).unwrap();
+    let cat = &s.session.catalog;
+    let g = build_query(&parse_query(sql).unwrap(), cat).unwrap();
+    analyze_maintainability(&g, "f", cat)
+}
+
+/// A grouping column the root does not project is in the grouping tuple but
+/// not in the backing rows: merging on `d` alone would fold the `(d, v)`
+/// groups that share a `d` into each other. The certificate names `v`.
+#[test]
+fn kill_unprojected_grouping_column() {
+    let r = analyze_f("select d, sum(v) as sv, count(*) as c from f group by d, v");
+    assert_eq!(r.strategy, MaintStrategy::RefreshOnly);
+    let [o] = r.obstructions.as_slice() else {
+        panic!("{:?}", r.obstructions);
+    };
+    assert_eq!(o.reason, ObstructionKind::NoGroupingColumn);
+    assert!(o.detail.contains("`v`"), "{}", o.detail);
+    assert!(o.path.starts_with("root"), "{}", o.path);
+}
+
+/// Over several grouping sets a NULL key cell means "not in this cuboid";
+/// a nullable grouping column would put a second meaning on it. A single
+/// grouping set has no padding, so there the NULL is just another group.
+#[test]
+fn kill_nullable_grouping_sets() {
+    let r = analyze_f("select d, w, count(*) as c from f group by grouping sets ((d), (d, w))");
+    assert_eq!(r.strategy, MaintStrategy::RefreshOnly);
+    let kinds: Vec<_> = r.obstructions.iter().map(|o| o.reason).collect();
+    assert_eq!(kinds, vec![ObstructionKind::GroupingSets]);
+    assert!(
+        r.obstructions[0].detail.contains("`w`"),
+        "{}",
+        r.obstructions[0]
+    );
+    let r = analyze_f("select d, w, count(*) as c from f group by d, w");
+    assert_eq!(
+        r.strategy,
+        MaintStrategy::CountingDelta,
+        "{:?}",
+        r.obstructions
     );
 }
 
@@ -647,32 +735,56 @@ fn kill_nested_aggregation() {
     assert_eq!(path.split('/').count(), 4, "{path}");
 }
 
-/// The same certificates as a session registers them: the paper's
-/// single-block aggregate ASTs keep counting-delta, AST8 does not.
+/// The same certificates as a session registers them, for all nine of the
+/// paper's ASTs: the single-block aggregates and the grouping-sets
+/// summaries (AST11, AST12) are counting-delta; the SPJ AST2, the nested
+/// AST8, AST10's second read of `trans` and the HAVING are not.
 #[test]
 fn registered_paper_asts_carry_the_expected_certificates() {
-    use sumtab::datagen::workloads::{AST1, AST6, AST7, AST8};
+    use sumtab::datagen::workloads::{
+        AST1, AST10, AST10_HAVING, AST11, AST12, AST2, AST6, AST7, AST8,
+    };
+    use ObstructionKind::{NoAggregationRoot, NonLinear, PostAggregationPredicate};
     let mut s = SummarySession::with_data(Catalog::credit_card_sample(), sumtab::Database::new());
     let by_pgroup = "select fpgid, year(date) as year, count(*) as cnt, sum(qty) as qty \
          from trans group by fpgid, year(date)";
-    for (name, sql, expected) in [
-        ("ast1", AST1, MaintStrategy::CountingDelta),
-        ("ast6", AST6, MaintStrategy::CountingDelta),
-        ("ast7", AST7, MaintStrategy::CountingDelta),
-        ("ast_pg", by_pgroup, MaintStrategy::CountingDelta),
-        ("ast8", AST8, MaintStrategy::RefreshOnly),
+    let trans: &[&str] = &["trans"];
+    for (name, sql, tables, refresh_only) in [
+        ("ast1", AST1, trans, None),
+        ("ast6", AST6, trans, None),
+        ("ast7", AST7, trans, None),
+        ("ast11", AST11, trans, None),
+        ("ast12", AST12, trans, None),
+        ("ast_pg", by_pgroup, trans, None),
+        (
+            "ast2",
+            AST2,
+            &["trans", "loc", "acct"],
+            Some(NoAggregationRoot),
+        ),
+        ("ast8", AST8, trans, Some(NoAggregationRoot)),
+        ("ast10", AST10, trans, Some(NonLinear)),
+        (
+            "ast10_having",
+            AST10_HAVING,
+            trans,
+            Some(PostAggregationPredicate),
+        ),
     ] {
         s.run_script(&format!("create summary table {name} as ({sql})"))
             .unwrap();
         let m = s.maintainability(name).unwrap();
-        assert_eq!(m.strategy_for("trans"), expected, "{name}");
+        for table in tables {
+            let r = &m.reports[*table];
+            let kinds: Vec<ObstructionKind> = r.obstructions.iter().map(|o| o.reason).collect();
+            let strategy = match refresh_only {
+                None => MaintStrategy::CountingDelta,
+                Some(_) => MaintStrategy::RefreshOnly,
+            };
+            assert_eq!(r.strategy, strategy, "{name} on {table}: {kinds:?}");
+            assert_eq!(kinds, Vec::from_iter(refresh_only), "{name} on {table}");
+        }
     }
-    let kinds: Vec<ObstructionKind> = s.maintainability("ast8").unwrap().reports["trans"]
-        .obstructions
-        .iter()
-        .map(|o| o.reason)
-        .collect();
-    assert_eq!(kinds, vec![ObstructionKind::NoAggregationRoot]);
 }
 
 #[test]
@@ -757,37 +869,49 @@ fn nullable_sums_merge_deletes_to_an_exact_null() {
 }
 
 /// Backing rows narrower than the exec graph — a snapshot written before
-/// the summary carried its hidden `COUNT(arg)` — cannot be merged: the
-/// first DELETE refreshes them to full width, the next one merges, and the
-/// answers stay exact throughout.
+/// the summary carried its hidden `COUNT(arg)`, or before a grand total
+/// that projects no counter was counting-delta and carried a hidden
+/// `COUNT(*)` — cannot be merged: the first DELETE refreshes them to full
+/// width, the next one merges, and the answers stay exact throughout.
 #[test]
 fn narrow_backing_rows_refresh_once_then_merge() {
     let mut s = SummarySession::new();
     s.run_script(SETUP).unwrap();
     s.run_script(
-        "insert into f values (1, 0, 10, 1), (2, 0, 20, null), (3, 1, 30, 3), (4, 1, 40, 4);",
+        "insert into f values (1, 0, 10, 1), (2, 0, 20, null), (3, 1, 30, 3), (4, 1, 40, 4);
+         create summary table s_sum as (select sum(v) as sv from f);",
     )
     .unwrap();
-    // `s_nullable` stores (d, sw, c, COUNT(w)): drop the hidden count.
-    let narrow: Vec<Row> = s
-        .session
-        .db
-        .rows("s_nullable")
-        .iter()
-        .map(|r| r[..3].to_vec())
-        .collect();
-    s.session.db.put_table("s_nullable", narrow);
+    // `s_nullable` stores (d, sw, c, COUNT(w)), `s_sum` (sv, COUNT(*)): drop
+    // the hidden counts.
+    let narrowed = [("s_nullable", 3), ("s_sum", 1)];
+    for (name, width) in narrowed {
+        let narrow: Vec<Row> = s
+            .session
+            .db
+            .rows(name)
+            .iter()
+            .map(|r| r[..width].to_vec())
+            .collect();
+        s.session.db.put_table(name, narrow);
+    }
     for (stmt, merged) in [
         ("delete from f where id = 1", false),
         ("delete from f where id = 3", true),
     ] {
         let applied = run_dml(&mut s, stmt);
-        let (maintained, refreshed) = (
-            applied.maintained.iter().any(|n| n == "s_nullable"),
-            applied.refreshed.iter().any(|n| n == "s_nullable"),
-        );
-        assert_eq!((maintained, refreshed), (merged, !merged), "`{stmt}`");
-        assert!(s.session.db.rows("s_nullable").iter().all(|r| r.len() == 4));
+        for (name, width) in narrowed {
+            let (maintained, refreshed) = (
+                applied.maintained.iter().any(|n| n == name),
+                applied.refreshed.iter().any(|n| n == name),
+            );
+            assert_eq!(
+                (maintained, refreshed),
+                (merged, !merged),
+                "`{stmt}`: {name}"
+            );
+            assert!(s.session.db.rows(name).iter().all(|r| r.len() == width + 1));
+        }
         for probe in PROBES {
             assert_eq!(
                 answer(&mut s, probe),
