@@ -90,6 +90,12 @@ impl GroupByBox {
     pub fn is_simple(&self) -> bool {
         self.sets.len() == 1 && self.sets[0].len() == self.items.len()
     }
+
+    /// True when one grouping set is empty: the grand-total group, whose
+    /// aggregates also see an empty input.
+    pub fn has_grand_total(&self) -> bool {
+        self.sets.iter().any(Vec::is_empty)
+    }
 }
 
 /// Box payloads.

@@ -7,7 +7,7 @@
 //! materializer consume the types to create backing tables.
 
 use crate::expr::ScalarExpr;
-use crate::graph::{BoxId, BoxKind, QgmGraph, QuantKind};
+use crate::graph::{BoxId, BoxKind, GroupByBox, QgmGraph, QuantKind};
 use std::collections::HashMap;
 use sumtab_catalog::{Catalog, SqlType};
 use sumtab_parser::{AggFunc, BinOp, ScalarFunc, UnOp};
@@ -241,20 +241,14 @@ pub fn infer_expr(
                         ty: m.ty,
                         // NULL when every argument in the group is NULL (or,
                         // for a grand-total group, when the input is empty).
-                        nullable: m.nullable || is_scalar_agg(g, owner),
+                        nullable: m.nullable
+                            || g.boxed(owner)
+                                .as_group_by()
+                                .is_some_and(GroupByBox::has_grand_total),
                     }
                 }
             }
         }
-    }
-}
-
-/// True when `owner` is a GROUP BY box with a grand-total grouping set,
-/// whose aggregate outputs can therefore see an empty input.
-fn is_scalar_agg(g: &QgmGraph, owner: BoxId) -> bool {
-    match &g.boxed(owner).kind {
-        BoxKind::GroupBy(gb) => gb.sets.iter().any(|s| s.is_empty()),
-        _ => false,
     }
 }
 

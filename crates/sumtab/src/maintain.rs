@@ -132,13 +132,12 @@ fn plan_of(graph: &QgmGraph, r: &MaintainabilityReport) -> Option<(QgmGraph, Mai
         }
     }
     let gb = graph.input_of(*graph.boxed(graph.root).quants.first()?);
-    let sets = &graph.boxed(gb).as_group_by()?.sets;
     let plan = MaintenancePlan {
         ops,
         counter,
         nullable_sums,
         shrink_sensitive: r.shrink_sensitive.clone(),
-        grand_total: sets.iter().any(Vec::is_empty),
+        grand_total: graph.boxed(gb).as_group_by()?.has_grand_total(),
     };
     Some((g, plan))
 }

@@ -225,13 +225,15 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
         // A merge is a row-level mutation of the backing table: its columnar
         // view is maintained in place, not dropped and rebuilt.
         let view = |s: &SummarySession, name: &str| Arc::as_ptr(&s.session.db.columnar(name));
-        for step in 0..62 {
+        for step in 0..64 {
             let views: Vec<_> = SUMMARIES.iter().map(|n| view(&s, n)).collect();
             let live_rows = s.session.db.row_count("f");
-            // Three fixed-schedule steps draw no random numbers, so the DML
-            // script is the one the other 60 steps always ran: an
-            // out-of-session epoch bump leaves every summary stale, then a
-            // refresh makes one fresh again; later every row of `f` goes.
+            // Four fixed-schedule steps draw no random numbers, so the other
+            // 60 steps run the same random DML script whatever the fixed
+            // steps do: an out-of-session epoch bump leaves every summary
+            // stale, then a refresh makes one fresh again; after the random
+            // steps every row of `f` goes, and one insert brings the grand
+            // total's group and the cuboids back.
             let (stmt, maintained) = match step {
                 21 => {
                     s.session.db.bump_epoch("f");
@@ -243,7 +245,8 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                 }
                 _ => {
                     let stmt = match step {
-                        41 => "delete from f".to_string(),
+                        62 => "delete from f".to_string(),
+                        63 => format!("insert into f values ({}, 2, 7, null)", next_id + 1),
                         _ => gen_stmt(&mut rng, &mut next_id),
                     };
                     let applied = run_dml(&mut s, &stmt);
@@ -257,7 +260,7 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                     (stmt, applied.maintained)
                 }
             };
-            if step == 41 {
+            if step == 62 {
                 // The grand total outlives the emptied table, by a merge: the
                 // row aggregation emits over no input, hidden counts included.
                 let total_merged = maintained.iter().any(|n| n == "s_total");
@@ -267,6 +270,15 @@ fn random_mixed_scripts_stay_byte_identical_to_recompute() {
                 assert_eq!(s.session.db.rows("s_total"), [empty], "seed {seed:#x}");
                 let padded = vec![null.clone(), null.clone(), null, zero.clone(), zero];
                 assert_eq!(s.session.db.rows("s_sets"), [padded], "seed {seed:#x}");
+            }
+            if step == 63 {
+                // The insert merges into the surviving grand-total rows.
+                for name in ["s_total", "s_sets"] {
+                    assert!(
+                        maintained.iter().any(|n| n == name),
+                        "seed {seed:#x}: {name}"
+                    );
+                }
             }
             for name in maintained {
                 let i = SUMMARIES.iter().position(|n| **n == name).unwrap();
