@@ -8,6 +8,7 @@
 // Tests assert on fixed inputs; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use sumtab::catalog::Date;
 use sumtab::datagen::workloads::FIGURES;
 use sumtab::datagen::{generate, GenConfig};
 use sumtab::engine::{execute_serial, execute_with, Database, ExecOptions};
@@ -167,6 +168,45 @@ fn fixture() -> (Catalog, Database) {
     db.insert(&catalog, "dim2", dim2).unwrap();
     db.insert(&catalog, "emptyt", Vec::new()).unwrap();
     db.insert(&catalog, "nullj", nullj).unwrap();
+
+    // `keyed` holds one grouping column per key storage the executor
+    // reads: a nullable DATE (stored as `Mixed`, since a date column has
+    // no NULL placeholder), a DOUBLE cycling through -0.0, 0.0, NaN and
+    // NULL, and a VARCHAR (dictionary codes, some NULL). `j` joins `dim2`.
+    catalog
+        .add_table(Table::new(
+            "keyed",
+            vec![
+                Column::nullable("d", SqlType::Date),
+                Column::nullable("x", SqlType::Double),
+                Column::nullable("s", SqlType::Varchar),
+                Column::new("j", SqlType::Int),
+                Column::new("v", SqlType::Int),
+            ],
+        ))
+        .unwrap();
+    let doubles = [-0.0, 0.0, f64::NAN, 1.5, -2.25];
+    let keyed: Vec<Vec<Value>> = (0..2400)
+        .map(|i: i64| {
+            let r = next();
+            let d = match r % 9 {
+                0 => Value::Null,
+                k => Value::Date(
+                    Date::new(1990 + (k % 3) as i32, 1 + ((r >> 24) % 12) as u8, 1).unwrap(),
+                ),
+            };
+            let x = match (r >> 8) % 6 {
+                5 => Value::Null,
+                k => Value::Double(doubles[k as usize]),
+            };
+            let s = match (r >> 16) % 7 {
+                0 => Value::Null,
+                k => Value::Str(format!("s{k}")),
+            };
+            vec![d, x, s, Value::Int(i % 11), Value::Int(i)]
+        })
+        .collect();
+    db.insert(&catalog, "keyed", keyed).unwrap();
     (catalog, db)
 }
 
@@ -278,6 +318,37 @@ const ADVERSARIAL_QUERIES: &[&str] = &[
     "select dim2.w, emptyt.v from dim2, emptyt",
 ];
 
+/// Grouping keys in every storage the executor reads — a `Mixed` nullable
+/// DATE, a DOUBLE holding -0.0, 0.0, NaN and NULL, a VARCHAR — each grouped
+/// three ways: as a bare column of a scan, through an expression or a join
+/// (materialized rows), and in grouping sets with the grand total.
+const KEY_STORAGE_QUERIES: &[&str] = &[
+    // Bare columns: aggregated over the scan.
+    "select d, count(*) as c, sum(v * 0.1) as sf, sum(x) as sx from keyed group by d",
+    "select x, count(*) as c, min(d) as lo, max(s) as hi from keyed group by x",
+    "select s, count(x) as c, sum(x) as sx, max(d) as hi from keyed group by s",
+    "select d, x, s, count(*) as c from keyed where v > 100 group by d, x, s",
+    // Expressions and joins: aggregated over materialized rows.
+    "select year(d) as y, month(d) as m, count(*) as c, sum(x) as sx \
+     from keyed group by year(d), month(d)",
+    "select x * 2 as x2, count(*) as c, sum(v * 0.1) as sf from keyed group by x * 2",
+    "select upper(s) as u, count(*) as c, min(x) as lo from keyed group by upper(s)",
+    "select keyed.d, dim2.w, count(*) as c, sum(keyed.x) as sx \
+     from keyed, dim2 where keyed.j = dim2.j group by keyed.d, dim2.w",
+    "select keyed.x, count(*) as c from keyed, dim2 \
+     where keyed.j = dim2.j and dim2.w > 30 group by keyed.x",
+    "select keyed.s, sum(dim2.w) as sw from keyed, dim2 \
+     where keyed.j = dim2.j group by keyed.s",
+    // Grouping sets with the grand total, over the scan and over rows.
+    "select d, count(*) as c, sum(x) as sx from keyed group by grouping sets ((d), ())",
+    "select x, count(*) as c, sum(v) as sv from keyed group by grouping sets ((x), ())",
+    "select s, count(*) as c, min(d) as lo from keyed group by grouping sets ((s), ())",
+    "select d, x, s, count(*) as c from keyed \
+     group by grouping sets ((d, x), (s), (x), ())",
+    "select year(d) as y, x * 2 as x2, count(*) as c from keyed \
+     group by grouping sets ((year(d)), (x * 2), ())",
+];
+
 /// ORDER BY … LIMIT and bare LIMIT at the root: each morsel keeps only the
 /// rows that can still reach the limit, so these run at small morsels
 /// (where a morsel's bound actually drops rows) as well as the default.
@@ -363,6 +434,17 @@ fn star_schema_joins_match_serial() {
 fn adversarial_join_and_aggregate_shapes_match_serial() {
     let (catalog, db) = fixture();
     for sql in ADVERSARIAL_QUERIES {
+        assert_equivalent(sql, &catalog, &db);
+    }
+}
+
+/// Group keys read from every column storage — `Mixed`, typed doubles with
+/// signed zeros and NaN, dictionary strings, NULLs in each — fold to the
+/// serial result whether the input is a scan or materialized rows.
+#[test]
+fn key_storages_group_identically_to_serial() {
+    let (catalog, db) = fixture();
+    for sql in KEY_STORAGE_QUERIES {
         assert_equivalent(sql, &catalog, &db);
     }
 }
