@@ -1,33 +1,31 @@
 //! Hash aggregation for the QGM executor: accumulator semantics shared by
-//! both execution paths, plus the parallel group folds.
+//! both executors, the serial oracle's fold, and the one parallel fold.
 //!
-//! Three folds produce identical entries for one cuboid:
+//! * [`grouped_serial`] — the row-at-a-time reference, used only by the
+//!   serial oracle.
+//! * [`grouped`] — the parallel executor's fold over a [`Source`] (a
+//!   columnar snapshot or materialized rows) and a list of its row indices.
+//!   Groups are found by the hash of their key cells (dictionary codes,
+//!   bits or day numbers off typed columns; `Value`'s hash for rows and
+//!   `Mixed` storage) and confirmed against each group's first-occurrence
+//!   row; accumulators fold [`Cell`] views via [`Acc::update_cell`], and a
+//!   group's key `Value`s are built once, when it is emitted. Each worker
+//!   owns the groups whose key hash lands in its partition and folds their
+//!   rows **in global row order** (float addition is non-associative, so
+//!   merging per-morsel partials would drift from the serial result in the
+//!   low bits).
 //!
-//! * [`grouped_serial`] — the row-at-a-time reference used by the serial
-//!   oracle (and by the parallel path on tiny inputs).
-//! * [`grouped_partitioned`] — key-hash-partitioned parallelism over
-//!   materialized rows: each worker owns the groups whose key hash lands in
-//!   its partition and folds their rows **in global row order** (float
-//!   addition is non-associative, so merging per-morsel partials would
-//!   drift from the serial result in the low bits). Partition scatter is
-//!   itself morsel-parallel; group lookup is hash-first so the fold never
-//!   clones a key `Vec<Value>` except on first occurrence.
-//! * [`grouped_columnar`] — the fused scan→aggregate path: no input rows
-//!   exist at all. Group keys are encoded straight off typed column slices
-//!   (dictionary codes for strings, `to_bits` for doubles) into flat `u64`
-//!   words, and accumulators fold [`Cell`] views via [`Acc::update_cell`]
-//!   without materializing a single `Value` until a group first occurs.
-//!
-//! All three emit entries in first-occurrence order of the group key, which
-//! is the executor's deterministic output order.
+//! Both emit entries in first-occurrence order of the group key, which is
+//! the executor's deterministic output order, and [`emit_group_rows`] adds
+//! the grand-total row of an empty input for both.
 
-use crate::db::{null_bit, ColSlice, ColumnVec, ColumnarTable, Row};
-use crate::exec::{par_map, par_map_vec, row_workers};
+use crate::db::{null_bit, ColSlice, Row};
+use crate::exec::{par_map, par_map_vec, row_workers, Source};
 use crate::program::{Cell, Program, Scratch};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use sumtab_catalog::fx::{FxHashMap, FxHasher};
-use sumtab_catalog::{Date, Value};
+use sumtab_catalog::Value;
 use sumtab_qgm::{AggCall, AggFunc, BoxId, QgmGraph, ScalarExpr};
 
 use crate::exec::ExecError;
@@ -250,11 +248,8 @@ pub(crate) fn plan_group_by(g: &QgmGraph, b: BoxId) -> Result<GroupPlan, ExecErr
 }
 
 // ---------------------------------------------------------------------------
-// Row-input folds
+// The serial oracle's fold
 // ---------------------------------------------------------------------------
-
-/// One group's state while folding: first-occurrence tag, key, accumulators.
-type PartEntry = (u32, Vec<Value>, Vec<Acc>);
 
 /// Hash-aggregate one cuboid serially; entries come out in first-occurrence
 /// order of their group key.
@@ -275,7 +270,7 @@ pub(crate) fn grouped_serial(
             None => {
                 let i = entries.len();
                 index.insert(key.clone(), i);
-                entries.push((key, plan.agg_calls.iter().map(Acc::new).collect()));
+                entries.push((key, new_accs(plan)));
                 i
             }
         };
@@ -286,288 +281,253 @@ pub(crate) fn grouped_serial(
     entries
 }
 
-/// Hash-aggregate one cuboid with key-hash-partitioned parallelism over
-/// materialized rows. Phase 1 hashes keys and scatters row indices into
-/// per-morsel partition buckets (morsel-parallel); phase 2 transposes the
-/// buckets partition-major with `Vec` moves only; phase 3 gives each worker
-/// whole partitions to fold — a partition owns every row of its groups, in
-/// global row order, so float accumulation matches the serial fold exactly.
-/// Group lookup inside a partition is hash-first (the phase-1 hash rides
-/// along with the row index): candidate entries are confirmed element-wise,
-/// and a key `Vec<Value>` is only cloned when a group first occurs. Phase 4
-/// merges partitions by first-occurrence row index — the serial entry order.
-pub(crate) fn grouped_partitioned(
-    input: &[Row],
+fn new_accs(plan: &GroupPlan) -> Vec<Acc> {
+    plan.agg_calls.iter().map(Acc::new).collect()
+}
+
+// ---------------------------------------------------------------------------
+// The parallel fold
+// ---------------------------------------------------------------------------
+
+/// How the fold reads an aggregate's argument: a source column, or a
+/// compiled program over the source's columns.
+#[derive(Clone, Copy)]
+pub(crate) enum ArgSrc<'p> {
+    Col(usize),
+    Prog(&'p Program),
+}
+
+/// How [`grouped`] reads a GROUP BY box's input from its source: `rows`
+/// lists the source rows that reach the box, in global order; grouping
+/// item `s` is source column `keys[s]`, and aggregate `j` reads its
+/// argument through `args[j]`.
+pub(crate) struct GroupInput<'p> {
+    pub(crate) rows: Vec<u32>,
+    pub(crate) keys: Vec<usize>,
+    pub(crate) args: Vec<Option<ArgSrc<'p>>>,
+}
+
+impl GroupInput<'_> {
+    /// All `n` rows of a source that is the box's own input: grouping
+    /// items and arguments are its ordinals.
+    pub(crate) fn whole(n: usize, plan: &GroupPlan) -> GroupInput<'static> {
+        GroupInput {
+            rows: (0..n as u32).collect(),
+            keys: plan.item_ords.clone(),
+            args: plan
+                .agg_calls
+                .iter()
+                .map(|c| c.arg.map(|a| ArgSrc::Col(a.ordinal)))
+                .collect(),
+        }
+    }
+}
+
+/// A grouping cell as the fold hashes and compares it. A typed column
+/// gives a word that is injective under `Value` grouping equality within
+/// the column: `to_bits` for doubles (grouping equality on doubles is
+/// total-order, i.e. bit, equality), the dictionary code for strings, the
+/// day number for dates. Materialized rows and `Mixed` storage give the
+/// value itself.
+#[derive(PartialEq, Eq, Hash)]
+enum KeyCell<'a> {
+    Null,
+    Word(u64),
+    Value(&'a Value),
+}
+
+/// One grouping column, resolved once per fold: a column's storage and
+/// null bitmap, or a column of materialized rows.
+enum KeyCol<'a> {
+    Col(ColSlice<'a>, Option<&'a [u64]>),
+    Rows(&'a [Row], usize),
+}
+
+/// One cuboid's fold over one input.
+struct Fold<'a> {
+    src: Source<'a>,
+    input: &'a GroupInput<'a>,
+    /// The cuboid's grouping columns.
+    cols: Vec<KeyCol<'a>>,
+    plan: &'a GroupPlan,
+}
+
+impl<'a> Fold<'a> {
+    fn key_cell(&self, row: usize, k: usize) -> KeyCell<'a> {
+        match self.cols[k] {
+            KeyCol::Rows(r, c) => KeyCell::Value(&r[row][c]),
+            KeyCol::Col(_, nulls) if null_bit(nulls, row) => KeyCell::Null,
+            KeyCol::Col(slice, _) => KeyCell::Word(match slice {
+                ColSlice::Int(d) => d[row] as u64,
+                ColSlice::Double(d) => d[row].to_bits(),
+                ColSlice::Bool(d) => d[row] as u64,
+                ColSlice::Date(d) => d[row].to_day_number() as u64,
+                ColSlice::Str { codes, .. } => codes[row] as u64,
+                ColSlice::Mixed(v) => return KeyCell::Value(&v[row]),
+            }),
+        }
+    }
+
+    /// The key hash of the row at position `fi` of the input's rows.
+    fn hash(&self, fi: usize) -> u64 {
+        let row = self.input.rows[fi] as usize;
+        let mut h = FxHasher::default();
+        for k in 0..self.cols.len() {
+            self.key_cell(row, k).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Fold source row `row` into its group's accumulators.
+    fn fold(&self, accs: &mut [Acc], row: usize, scratch: &mut Scratch<'a>) {
+        let src = self.src;
+        let col = |c: u32| src.cell(row, c as usize);
+        for (acc, arg) in accs.iter_mut().zip(&self.input.args) {
+            acc.update_cell(arg.map(|a| match a {
+                ArgSrc::Col(c) => src.cell(row, c),
+                ArgSrc::Prog(p) => p.eval_with(&col, scratch),
+            }));
+        }
+    }
+
+    /// Fold the `(position in rows, key hash)` pairs of one partition, in
+    /// global order. A row finds its group by hash and confirms it against
+    /// the group's first-occurrence row; entries carry that row's position.
+    fn fold_part(&self, hashed: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, Vec<Acc>)> {
+        let rows = &self.input.rows;
+        let mut out: Vec<(u32, Vec<Acc>)> = Vec::new();
+        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let mut scratch = Scratch::new();
+        for (fi, h) in hashed {
+            let row = rows[fi as usize] as usize;
+            let found = index.get(&h).and_then(|cands| {
+                cands.iter().copied().find(|&e| {
+                    let first = rows[out[e as usize].0 as usize] as usize;
+                    (0..self.cols.len()).all(|k| self.key_cell(row, k) == self.key_cell(first, k))
+                })
+            });
+            let e = match found {
+                Some(e) => e as usize,
+                None => {
+                    index.entry(h).or_default().push(out.len() as u32);
+                    out.push((fi, new_accs(self.plan)));
+                    out.len() - 1
+                }
+            };
+            self.fold(&mut out[e].1, row, &mut scratch);
+        }
+        out
+    }
+}
+
+/// Hash-aggregate one cuboid of `input`, read from `src`, with
+/// key-hash-partitioned parallelism. Phase 1 hashes each row's key cells
+/// and scatters `(position, hash)` pairs into per-morsel partition buckets
+/// (morsel-parallel); phase 2 transposes the buckets partition-major with
+/// `Vec` moves only; phase 3 gives each worker whole partitions to fold — a
+/// partition owns every row of its groups, in global row order, so float
+/// accumulation matches the serial fold exactly. A single worker folds
+/// every row in place. Phase 4 merges partitions by first-occurrence
+/// position (the serial entry order) and builds each group's key `Value`s,
+/// once.
+pub(crate) fn grouped(
+    src: Source<'_>,
+    input: &GroupInput<'_>,
     set: &[usize],
     plan: &GroupPlan,
     workers: usize,
     morsel: usize,
 ) -> Vec<(Vec<Value>, Vec<Acc>)> {
-    let nparts = workers.max(1).next_power_of_two();
-    let mask = (nparts - 1) as u64;
-
-    // Phase 1: hash + scatter, morsel-parallel.
-    let scattered: Vec<Vec<Vec<(u32, u64)>>> = par_map(workers, morsel, input.len(), |_, range| {
-        let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); nparts];
-        for i in range {
-            let mut h = FxHasher::default();
-            for &s in set {
-                input[i][plan.item_ords[s]].hash(&mut h);
-            }
-            let h = h.finish();
-            parts[(h & mask) as usize].push((i as u32, h));
-        }
-        parts
-    });
-
-    // Phase 2: transpose morsel-major → partition-major. Chunks stay in
-    // morsel order, so each partition sees its rows in global row order.
-    let mut by_part: Vec<Vec<Vec<(u32, u64)>>> = (0..nparts).map(|_| Vec::new()).collect();
-    for morsel_parts in scattered {
-        for (p, chunk) in morsel_parts.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                by_part[p].push(chunk);
-            }
-        }
+    let rows = &input.rows;
+    // No rows, no groups; an emptied table's snapshot has no columns.
+    if rows.is_empty() {
+        return Vec::new();
     }
-
-    // Phase 3: one partition per worker.
-    let parts: Vec<Vec<PartEntry>> = par_map_vec(workers, by_part, |_, chunks| {
-        let mut out: Vec<PartEntry> = Vec::new();
-        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for chunk in chunks {
-            for (ri, h) in chunk {
-                let row = &input[ri as usize];
-                let found = index.get(&h).and_then(|cands| {
-                    cands.iter().copied().find(|&e| {
-                        let key = &out[e as usize].1;
-                        set.iter()
-                            .enumerate()
-                            .all(|(k, &s)| row[plan.item_ords[s]] == key[k])
-                    })
-                });
-                let idx = match found {
-                    Some(e) => e as usize,
-                    None => {
-                        let e = out.len();
-                        let key: Vec<Value> = set
-                            .iter()
-                            .map(|&s| row[plan.item_ords[s]].clone())
-                            .collect();
-                        out.push((ri, key, plan.agg_calls.iter().map(Acc::new).collect()));
-                        index.entry(h).or_default().push(e as u32);
-                        e
-                    }
-                };
-                for (acc, call) in out[idx].2.iter_mut().zip(&plan.agg_calls) {
-                    acc.update(call.arg.map(|c| &row[c.ordinal]));
-                }
-            }
-        }
-        out
-    });
-
-    // Phase 4: merge partitions into global first-occurrence order.
-    let mut all: Vec<PartEntry> = parts.into_iter().flatten().collect();
-    all.sort_by_key(|e| e.0);
-    all.into_iter().map(|(_, k, a)| (k, a)).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Columnar (fused scan→aggregate) fold
-// ---------------------------------------------------------------------------
-
-/// An aggregate argument read without materializing input rows: a bare
-/// column (typed cells straight off the column vector) or a compiled
-/// program over the scan's columns.
-pub(crate) enum ArgSrc<'c> {
-    Col(&'c ColumnVec),
-    Prog(&'c Program),
-}
-
-/// A group-key encoding kernel over one typed column slice: encodes row `i`
-/// as a `(null flag, bits)` pair of `u64` words that is **injective with
-/// respect to `Value` grouping equality within the column** — doubles via
-/// `to_bits` (grouping equality on doubles is total-order, i.e. bit,
-/// equality), strings via their dictionary code, dates via the day number.
-/// Mixed storage has no such encoding; callers must fall back to the
-/// row-materializing path for it.
-enum KeyEnc<'c> {
-    Int(&'c [i64], Option<&'c [u64]>),
-    F64(&'c [f64], Option<&'c [u64]>),
-    Bool(&'c [bool], Option<&'c [u64]>),
-    Date(&'c [Date], Option<&'c [u64]>),
-    Str(&'c [u32], Option<&'c [u64]>),
-}
-
-impl<'c> KeyEnc<'c> {
-    /// The encoder for a column, or `None` for Mixed storage.
-    fn of(cv: &'c ColumnVec) -> Option<KeyEnc<'c>> {
-        let nulls = cv.null_words();
-        match cv.slice() {
-            ColSlice::Int(d) => Some(KeyEnc::Int(d, nulls)),
-            ColSlice::Double(d) => Some(KeyEnc::F64(d, nulls)),
-            ColSlice::Bool(d) => Some(KeyEnc::Bool(d, nulls)),
-            ColSlice::Date(d) => Some(KeyEnc::Date(d, nulls)),
-            ColSlice::Str { codes, .. } => Some(KeyEnc::Str(codes, nulls)),
-            ColSlice::Mixed(_) => None,
-        }
-    }
-
-    #[inline]
-    fn push(&self, i: usize, buf: &mut Vec<u64>) {
-        let (flag, bits) = match self {
-            KeyEnc::Int(d, n) => (!null_bit(*n, i), d[i] as u64),
-            KeyEnc::F64(d, n) => (!null_bit(*n, i), d[i].to_bits()),
-            KeyEnc::Bool(d, n) => (!null_bit(*n, i), d[i] as u64),
-            KeyEnc::Date(d, n) => (!null_bit(*n, i), d[i].to_day_number() as u64),
-            KeyEnc::Str(codes, n) => (!null_bit(*n, i), codes[i] as u64),
-        };
-        buf.push(flag as u64);
-        buf.push(if flag { bits } else { 0 });
-    }
-}
-
-/// Hash-aggregate one cuboid directly over a columnar scan: `filtered`
-/// holds the surviving row indices in scan order, `key_cols[s]` the table
-/// column backing grouping item `s`, and `args[j]` the source of aggregate
-/// `j`'s argument. Requires every grouping column of `set` to be typed
-/// (non-Mixed); returns `None` otherwise so the caller can fall back to
-/// the row-materializing path.
-///
-/// Same partition discipline as [`grouped_partitioned`] — whole groups per
-/// worker, rows in global (scan) order, first-occurrence merge — but keys
-/// live as flat `u64` encodings until a group first occurs, and
-/// accumulators fold typed [`Cell`]s via [`Acc::update_cell`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn grouped_columnar(
-    t: &ColumnarTable,
-    filtered: &[u32],
-    set: &[usize],
-    key_cols: &[usize],
-    args: &[Option<ArgSrc<'_>>],
-    plan: &GroupPlan,
-    workers: usize,
-    morsel: usize,
-) -> Option<Vec<(Vec<Value>, Vec<Acc>)>> {
-    // Grand total (empty grouping set): exactly one group, so the scatter /
-    // partition / hash machinery is pure overhead — and the single group's
-    // accumulators must fold in global scan order anyway (float addition is
-    // non-associative), which only a serial pass guarantees.
-    if set.is_empty() {
-        if filtered.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut accs: Vec<Acc> = plan.agg_calls.iter().map(Acc::new).collect();
-        let mut scratch = Scratch::new();
-        for &r in filtered {
-            let row = r as usize;
-            let col = |c: u32| t.cell(row, c as usize);
-            for (acc, arg) in accs.iter_mut().zip(args) {
-                match arg {
-                    None => acc.update_cell(None),
-                    Some(ArgSrc::Col(cv)) => acc.update_cell(Some(cv.cell(row))),
-                    Some(ArgSrc::Prog(p)) => {
-                        acc.update_cell(Some(p.eval_with(&col, &mut scratch)));
-                    }
-                }
-            }
-        }
-        return Some(vec![(Vec::new(), accs)]);
-    }
-
-    let encs: Vec<KeyEnc> = set
+    let cols = set
         .iter()
-        .map(|&s| KeyEnc::of(&t.columns()[key_cols[s]]))
-        .collect::<Option<Vec<_>>>()?;
-
-    let w = row_workers(workers, filtered.len());
-    let nparts = w.next_power_of_two();
-    let mask = (nparts - 1) as u64;
-
-    let encode = |row: usize, buf: &mut Vec<u64>| {
-        buf.clear();
-        for e in &encs {
-            e.push(row, buf);
+        .map(|&s| match src {
+            Source::Rows(r) => KeyCol::Rows(r, input.keys[s]),
+            Source::Col(t) => {
+                let cv = &t.columns()[input.keys[s]];
+                KeyCol::Col(cv.slice(), cv.null_words())
+            }
+        })
+        .collect();
+    let f = Fold {
+        src,
+        input,
+        cols,
+        plan,
+    };
+    // Grand total (empty grouping set): exactly one group, whose
+    // accumulators must fold in global order anyway (float addition is
+    // non-associative), so hashing and partitioning are pure overhead.
+    if set.is_empty() {
+        let mut accs = new_accs(plan);
+        let mut scratch = Scratch::new();
+        for &r in rows {
+            f.fold(&mut accs, r as usize, &mut scratch);
         }
+        return vec![(Vec::new(), accs)];
+    }
+
+    let w = row_workers(workers, rows.len());
+    let parts: Vec<Vec<(u32, Vec<Acc>)>> = if w == 1 {
+        vec![f.fold_part((0..rows.len()).map(|fi| (fi as u32, f.hash(fi))))]
+    } else {
+        let nparts = w.next_power_of_two();
+        let mask = (nparts - 1) as u64;
+        // Phase 1: hash + scatter, morsel-parallel.
+        let scattered: Vec<Vec<Vec<(u32, u64)>>> = par_map(w, morsel, rows.len(), |_, range| {
+            let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); nparts];
+            for fi in range {
+                let h = f.hash(fi);
+                parts[(h & mask) as usize].push((fi as u32, h));
+            }
+            parts
+        });
+        // Phase 2: transpose morsel-major → partition-major. Chunks stay in
+        // morsel order, so each partition sees its rows in global order.
+        let mut by_part: Vec<Vec<Vec<(u32, u64)>>> = (0..nparts).map(|_| Vec::new()).collect();
+        for morsel_parts in scattered {
+            for (p, chunk) in morsel_parts.into_iter().enumerate() {
+                if !chunk.is_empty() {
+                    by_part[p].push(chunk);
+                }
+            }
+        }
+        // Phase 3: one partition per worker.
+        par_map_vec(w, by_part, |_, chunks| {
+            f.fold_part(chunks.into_iter().flatten())
+        })
     };
 
-    // Phase 1: encode + hash + scatter, morsel-parallel over the filtered
-    // index list (whose order is the global row order).
-    let scattered: Vec<Vec<Vec<u32>>> = par_map(w, morsel, filtered.len(), |_, range| {
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-        let mut buf: Vec<u64> = Vec::with_capacity(encs.len() * 2);
-        for fi in range {
-            encode(filtered[fi] as usize, &mut buf);
-            let mut h = FxHasher::default();
-            buf.hash(&mut h);
-            parts[(h.finish() & mask) as usize].push(fi as u32);
-        }
-        parts
-    });
-
-    // Phase 2: transpose morsel-major → partition-major.
-    let mut by_part: Vec<Vec<Vec<u32>>> = (0..nparts).map(|_| Vec::new()).collect();
-    for morsel_parts in scattered {
-        for (p, chunk) in morsel_parts.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                by_part[p].push(chunk);
-            }
-        }
-    }
-
-    // Phase 3: one partition per worker; encoded-key group lookup, typed
-    // cell accumulation.
-    let parts: Vec<Vec<PartEntry>> = par_map_vec(w, by_part, |_, chunks| {
-        let mut out: Vec<PartEntry> = Vec::new();
-        let mut index: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        let mut buf: Vec<u64> = Vec::with_capacity(encs.len() * 2);
-        let mut scratch = Scratch::new();
-        for chunk in chunks {
-            for fi in chunk {
-                let row = filtered[fi as usize] as usize;
-                encode(row, &mut buf);
-                let idx = match index.get(buf.as_slice()) {
-                    Some(&e) => e as usize,
-                    None => {
-                        let e = out.len();
-                        index.insert(buf.clone(), e as u32);
-                        let key: Vec<Value> = set
-                            .iter()
-                            .map(|&s| t.columns()[key_cols[s]].value(row))
-                            .collect();
-                        out.push((fi, key, plan.agg_calls.iter().map(Acc::new).collect()));
-                        e
-                    }
-                };
-                let col = |c: u32| t.cell(row, c as usize);
-                for (acc, arg) in out[idx].2.iter_mut().zip(args) {
-                    match arg {
-                        None => acc.update_cell(None),
-                        Some(ArgSrc::Col(cv)) => acc.update_cell(Some(cv.cell(row))),
-                        Some(ArgSrc::Prog(p)) => {
-                            acc.update_cell(Some(p.eval_with(&col, &mut scratch)));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    });
-
     // Phase 4: merge partitions into global first-occurrence order.
-    let mut all: Vec<PartEntry> = parts.into_iter().flatten().collect();
+    let mut all: Vec<(u32, Vec<Acc>)> = parts.into_iter().flatten().collect();
     all.sort_by_key(|e| e.0);
-    Some(all.into_iter().map(|(_, k, a)| (k, a)).collect())
+    all.into_iter()
+        .map(|(fi, accs)| {
+            let row = rows[fi as usize] as usize;
+            let key = set
+                .iter()
+                .map(|&s| src.cell(row, input.keys[s]).into_value())
+                .collect();
+            (key, accs)
+        })
+        .collect()
 }
 
 /// Render finished group entries through the output plan.
 pub(crate) fn emit_group_rows(
-    entries: Vec<(Vec<Value>, Vec<Acc>)>,
+    mut entries: Vec<(Vec<Value>, Vec<Acc>)>,
     set: &[usize],
     plan: &GroupPlan,
     out: &mut Vec<Row>,
 ) {
+    // Aggregation over an empty input still produces one grand-total row.
+    if entries.is_empty() && set.is_empty() {
+        entries.push((Vec::new(), new_accs(plan)));
+    }
     for (key, accs) in entries {
         let finished: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
         let row = plan
@@ -589,6 +549,7 @@ pub(crate) fn emit_group_rows(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests assert on fixed inputs
 mod tests {
     use super::*;
+    use sumtab_catalog::Date;
 
     /// `Cell::grouping_cmp` must agree with `Value::cmp` for every pair of
     /// sample values — MIN/MAX folded through cells must pick exactly the

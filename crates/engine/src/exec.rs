@@ -14,12 +14,15 @@
 //!   driver morsels, fanned across a `std::thread::scope` pool, stream
 //!   depth-first through the levels straight into output rows
 //!   (`exec_fused`); no intermediate tuple is materialized. A single scan
-//!   is the one-level case, a cross product a level with no key. Results
-//!   are byte-identical to the reference for any pool/morsel size: morsel
-//!   outputs are merged in morsel order (slot-merge discipline), GROUP BY
-//!   partitions whole groups by key hash so each group's accumulator folds
-//!   its rows in global row order, and group output follows
-//!   first-occurrence order in both executors.
+//!   is the one-level case, a cross product a level with no key. A GROUP
+//!   BY box has exactly one fold as well (`agg::grouped`): a base table, or
+//!   a one-level scan of one with bare grouping columns, is aggregated in
+//!   place off its columnar snapshot; any other input is materialized
+//!   first. Results are byte-identical to the reference for any
+//!   pool/morsel size: morsel outputs are merged in morsel order
+//!   (slot-merge discipline), GROUP BY partitions whole groups by key hash
+//!   so each group's accumulator folds its rows in global row order, and
+//!   group output follows first-occurrence order in both executors.
 //! * [`execute_serial`] — the row-at-a-time interpreter, kept as the
 //!   differential-testing oracle and bench baseline.
 //!
@@ -31,10 +34,9 @@
 //! first k rows. The final selection then sees at most k rows per morsel.
 
 use crate::agg::{
-    emit_group_rows, grouped_columnar, grouped_partitioned, grouped_serial, plan_group_by, Acc,
-    ArgSrc, GroupPlan,
+    emit_group_rows, grouped, grouped_serial, plan_group_by, ArgSrc, GroupInput, GroupPlan,
 };
-use crate::db::{ColSlice, ColumnarTable, Database, Row};
+use crate::db::{null_bit, ColSlice, ColumnarTable, Database, Row};
 use crate::eval::{eval_expr, truth, Env};
 use crate::program::{compare, Cell, Program, Resolved, Scratch};
 use std::cmp::Ordering;
@@ -167,7 +169,6 @@ pub fn execute_with(
             workers: opts.pool_size.clamp(1, hw_parallelism()),
             morsel: opts.morsel_size.max(1),
             memo: HashMap::new(),
-            tables: HashMap::new(),
             columnar: HashMap::new(),
         };
         ex.rows_of(g.root)?
@@ -681,13 +682,13 @@ fn verify_program(prog: &Program, b: BoxId, arity: usize) -> Result<(), ExecErro
 /// A scan source for one join input: either a zero-copy columnar base
 /// table or the materialized rows of a derived box.
 #[derive(Clone, Copy)]
-enum Source<'c> {
+pub(crate) enum Source<'c> {
     Col(&'c ColumnarTable),
     Rows(&'c [Row]),
 }
 
 impl<'c> Source<'c> {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Source::Col(t) => t.len(),
             Source::Rows(r) => r.len(),
@@ -695,7 +696,7 @@ impl<'c> Source<'c> {
     }
 
     #[inline]
-    fn cell(&self, row: usize, col: usize) -> Cell<'c> {
+    pub(crate) fn cell(&self, row: usize, col: usize) -> Cell<'c> {
         match self {
             Source::Col(t) => t.cell(row, col),
             Source::Rows(r) => Cell::of(&r[row][col]),
@@ -714,14 +715,6 @@ impl Child {
         match self {
             Child::Col(t) => Source::Col(t),
             Child::Rows(r) => Source::Rows(r.as_slice()),
-        }
-    }
-
-    /// The columnar table behind this child, if it is a base-table scan.
-    fn columnar(&self) -> Option<&ColumnarTable> {
-        match self {
-            Child::Col(t) => Some(t),
-            Child::Rows(_) => None,
         }
     }
 }
@@ -783,14 +776,6 @@ enum Kernel<'c> {
 }
 
 #[inline]
-fn bit(nulls: Option<&[u64]>, i: usize) -> bool {
-    match nulls {
-        Some(words) => words[i / 64] & (1 << (i % 64)) != 0,
-        None => false,
-    }
-}
-
-#[inline]
 fn ord_passes(op: BinOp, ord: Ordering) -> bool {
     match op {
         BinOp::Eq => ord.is_eq(),
@@ -813,14 +798,14 @@ impl Kernel<'_> {
                 nulls,
                 op,
                 rhs,
-            } => !bit(*nulls, i) && ord_passes(*op, data[i].cmp(rhs)),
+            } => !null_bit(*nulls, i) && ord_passes(*op, data[i].cmp(rhs)),
             Kernel::IntF64 {
                 data,
                 nulls,
                 op,
                 rhs,
             } => {
-                if bit(*nulls, i) {
+                if null_bit(*nulls, i) {
                     return false;
                 }
                 let a = data[i] as f64;
@@ -837,7 +822,7 @@ impl Kernel<'_> {
                 rhs,
                 total_eq,
             } => {
-                if bit(*nulls, i) {
+                if null_bit(*nulls, i) {
                     return false;
                 }
                 let a = data[i];
@@ -850,8 +835,10 @@ impl Kernel<'_> {
                 }
             }
             Kernel::DateCmp { data, op, rhs } => ord_passes(*op, data[i].cmp(rhs)),
-            Kernel::StrCode { codes, nulls, pass } => !bit(*nulls, i) && pass[codes[i] as usize],
-            Kernel::NullTest { nulls, negated } => bit(*nulls, i) != *negated,
+            Kernel::StrCode { codes, nulls, pass } => {
+                !null_bit(*nulls, i) && pass[codes[i] as usize]
+            }
+            Kernel::NullTest { nulls, negated } => null_bit(*nulls, i) != *negated,
         }
     }
 }
@@ -917,12 +904,16 @@ fn build_kernel<'c>(prog: &Program, t: &'c ColumnarTable) -> Option<Kernel<'c>> 
 /// columnar; the rest stay on the program interpreter as residuals.
 fn lower_singles<'c>(
     singles: &'c [Program],
-    col: Option<&'c ColumnarTable>,
+    src: Source<'c>,
 ) -> (Vec<Kernel<'c>>, Vec<&'c Program>) {
     let mut kernels: Vec<Kernel> = Vec::new();
     let mut resid: Vec<&Program> = Vec::new();
     for p in singles {
-        match col.and_then(|t| build_kernel(p, t)) {
+        let kernel = match src {
+            Source::Col(t) => build_kernel(p, t),
+            Source::Rows(_) => None,
+        };
+        match kernel {
             Some(k) => kernels.push(k),
             None => resid.push(p),
         }
@@ -1283,9 +1274,6 @@ struct ParExec<'a> {
     workers: usize,
     morsel: usize,
     memo: HashMap<BoxId, Rc<Vec<Row>>>,
-    /// One shared row snapshot per base table per execution (serial-path
-    /// children and group-by inputs).
-    tables: HashMap<String, Rc<Vec<Row>>>,
     /// Zero-copy columnar snapshots per base table per execution.
     columnar: HashMap<String, Arc<ColumnarTable>>,
 }
@@ -1296,23 +1284,17 @@ impl ParExec<'_> {
             return Ok(Rc::clone(r));
         }
         let rows = match &self.g.boxed(b).kind {
-            BoxKind::BaseTable { table } => self.table_rows(table),
+            // Scans and GROUP BY inputs read base tables as columns; only a
+            // root or a scalar subquery that is a bare base table gets here.
+            BoxKind::BaseTable { table } => {
+                Rc::new(self.db.rows(&table.to_ascii_lowercase()).to_vec())
+            }
             BoxKind::SubsumerRef { .. } => return Err(ExecError::SubsumerRefInGraph),
             BoxKind::Select(_) => Rc::new(self.exec_select(b)?),
             BoxKind::GroupBy(_) => Rc::new(self.exec_group_by(b)?),
         };
         self.memo.insert(b, Rc::clone(&rows));
         Ok(rows)
-    }
-
-    fn table_rows(&mut self, table: &str) -> Rc<Vec<Row>> {
-        let key = table.to_ascii_lowercase();
-        if let Some(rc) = self.tables.get(&key) {
-            return Rc::clone(rc);
-        }
-        let rc = Rc::new(self.db.rows(&key).to_vec());
-        self.tables.insert(key, Rc::clone(&rc));
-        rc
     }
 
     /// A join input: base tables scan their columnar snapshot in place;
@@ -1444,7 +1426,7 @@ impl ParExec<'_> {
         // partitions on the equi-join key, or every row under the empty key.
         let mut tables: Vec<JoinTable> = Vec::new();
         for (li, lvl) in plan.levels.iter().enumerate().skip(1) {
-            let (kernels, resid) = lower_singles(&lvl.singles, children[li].columnar());
+            let (kernels, resid) = lower_singles(&lvl.singles, sources[li]);
             let filtered = filter_indices(self.workers, self.morsel, sources[li], &kernels, &resid);
             tables.push(if lvl.build.is_empty() {
                 JoinTable::cross(filtered)
@@ -1463,7 +1445,7 @@ impl ParExec<'_> {
         // one morsel pass.
         let src0 = sources[0];
         let n = src0.len();
-        let (kernels0, resid0) = lower_singles(&plan.levels[0].singles, children[0].columnar());
+        let (kernels0, resid0) = lower_singles(&plan.levels[0].singles, src0);
         let levels = &plan.levels;
         let slot_map = &slot_map;
         // A one-level plan (a single scan) emits from the driver loop: its
@@ -1540,71 +1522,49 @@ impl ParExec<'_> {
         Ok(parts.into_iter().flatten().collect())
     }
 
-    /// Fused scan→aggregate: when the group-by's input `sp` is a one-level
-    /// plan over a columnar base table, aggregate straight off the snapshot
-    /// — no input row is ever materialized. Grouping keys must be bare
-    /// typed columns of the scan; aggregate arguments read typed cells
-    /// (bare columns) or run their compiled program per row. Returns `None`
-    /// when the shape doesn't qualify, leaving the caller to run `sp`.
-    fn group_by_scan(
+    /// The scan a GROUP BY aggregates in place: its input plan `sp` is one
+    /// level over a base table, and every grouping item is a bare column of
+    /// it. Aggregate arguments read columns or run compiled programs.
+    fn group_scan<'p>(
         &mut self,
-        sets: &[Vec<usize>],
+        sp: &'p FusedPlan,
         plan: &GroupPlan,
-        sp: &FusedPlan,
-    ) -> Option<Vec<Row>> {
+    ) -> Option<(Child, GroupInput<'p>)> {
         let [scan] = sp.levels.as_slice() else {
             return None;
         };
         let BoxKind::BaseTable { table } = &self.g.boxed(scan.child_box).kind else {
             return None;
         };
-        let table = self.columnar_of(table);
-        let t: &ColumnarTable = &table;
-        let mut key_cols: Vec<usize> = Vec::with_capacity(plan.item_ords.len());
-        for &ord in &plan.item_ords {
-            let slot = sp.out_progs.get(ord)?.as_col()? as usize;
-            if slot >= t.width() || matches!(t.columns()[slot].slice(), ColSlice::Mixed(_)) {
-                return None;
-            }
-            key_cols.push(slot);
-        }
-        let mut args: Vec<Option<ArgSrc>> = Vec::with_capacity(plan.agg_calls.len());
-        for call in &plan.agg_calls {
-            args.push(match call.arg {
-                None => None,
-                Some(cr) => {
-                    let p = sp.out_progs.get(cr.ordinal)?;
-                    Some(match p.as_col() {
-                        Some(s) if (s as usize) < t.width() => {
-                            ArgSrc::Col(&t.columns()[s as usize])
-                        }
-                        _ => ArgSrc::Prog(p),
-                    })
-                }
-            });
-        }
-        let (kernels, resid) = lower_singles(&scan.singles, Some(t));
-        let filtered = filter_indices(self.workers, self.morsel, Source::Col(t), &kernels, &resid);
-        let mut out: Vec<Row> = Vec::new();
-        for set in sets {
-            let mut entries = grouped_columnar(
-                t,
-                &filtered,
-                set,
-                &key_cols,
-                &args,
-                plan,
-                self.workers,
-                self.morsel,
-            )?;
-            if entries.is_empty() && set.is_empty() {
-                entries.push((Vec::new(), plan.agg_calls.iter().map(Acc::new).collect()));
-            }
-            emit_group_rows(entries, set, plan, &mut out);
-        }
-        Some(out)
+        let keys = plan
+            .item_ords
+            .iter()
+            .map(|&ord| Some(sp.out_progs.get(ord)?.as_col()? as usize))
+            .collect::<Option<Vec<usize>>>()?;
+        let args = plan
+            .agg_calls
+            .iter()
+            .map(|call| {
+                call.arg.map(|cr| {
+                    let p = &sp.out_progs[cr.ordinal];
+                    match p.as_col() {
+                        Some(s) => ArgSrc::Col(s as usize),
+                        None => ArgSrc::Prog(p),
+                    }
+                })
+            })
+            .collect();
+        let t = self.columnar_of(table);
+        let src = Source::Col(&t);
+        let (kernels, resid) = lower_singles(&scan.singles, src);
+        let rows = filter_indices(self.workers, self.morsel, src, &kernels, &resid);
+        Some((Child::Col(t), GroupInput { rows, keys, args }))
     }
 
+    /// One fold per cuboid (Section 5: a cube query is the union of its
+    /// cuboids, NULL-padding the grouped-out columns) over one of two
+    /// inputs: a base table, or a one-level scan of one, is aggregated in
+    /// place off its columnar snapshot; any other input is materialized.
     fn exec_group_by(&mut self, b: BoxId) -> Result<Vec<Row>, ExecError> {
         let bx = self.g.boxed(b);
         let gb = bx
@@ -1618,35 +1578,30 @@ impl ParExec<'_> {
         let plan = plan_group_by(self.g, b)?;
 
         // A SELECT input consumed only by this box is planned here, so a
-        // single columnar scan can be aggregated without materializing it
-        // (`group_by_scan`); any other shape runs the plan it already has.
+        // scan of it can be aggregated without materializing it.
         let sole_select =
             self.g.consumer_count(input_box) == 1 && self.g.boxed(input_box).as_select().is_some();
-        let input = if !sole_select {
-            self.rows_of(input_box)?
-        } else if let Some(sp) = self.plan_select(input_box)? {
-            if let Some(rows) = self.group_by_scan(&gb.sets, &plan, &sp) {
-                return Ok(rows);
-            }
-            Rc::new(self.exec_fused(&sp, None)?)
+        let sp = if sole_select {
+            self.plan_select(input_box)?
         } else {
-            Rc::default()
+            None
+        };
+        let (data, input) = match sp.as_ref().and_then(|sp| self.group_scan(sp, &plan)) {
+            Some(scan) => scan,
+            None => {
+                let data = match &sp {
+                    _ if !sole_select => self.child_of(input_box)?,
+                    Some(sp) => Child::Rows(Rc::new(self.exec_fused(sp, None)?)),
+                    // A constant predicate is not true: no input rows.
+                    None => Child::Rows(Rc::default()),
+                };
+                let n = data.source().len();
+                (data, GroupInput::whole(n, &plan))
+            }
         };
         let mut out: Vec<Row> = Vec::new();
-        // One aggregation pass per cuboid (Section 5: a cube query is the
-        // union of its cuboids, NULL-padding the grouped-out columns).
         for set in &gb.sets {
-            let w = row_workers(self.workers, input.len());
-            let mut entries = if w > 1 && !set.is_empty() {
-                grouped_partitioned(&input, set, &plan, w, self.morsel)
-            } else {
-                grouped_serial(&input, set, &plan)
-            };
-            // Aggregation over an empty input still produces one grand-total
-            // row.
-            if entries.is_empty() && set.is_empty() {
-                entries.push((Vec::new(), plan.agg_calls.iter().map(Acc::new).collect()));
-            }
+            let entries = grouped(data.source(), &input, set, &plan, self.workers, self.morsel);
             emit_group_rows(entries, set, &plan, &mut out);
         }
         Ok(out)
@@ -1654,7 +1609,7 @@ impl ParExec<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The serial row-at-a-time interpreter (oracle / fallback)
+// The serial row-at-a-time interpreter (the oracle)
 // ---------------------------------------------------------------------------
 
 /// The environment for evaluating expressions of a SELECT box mid-join:
@@ -1937,11 +1892,7 @@ impl SerialExec<'_> {
 
         let mut out: Vec<Row> = Vec::new();
         for set in &gb.sets {
-            let mut entries = grouped_serial(&input, set, &plan);
-            if entries.is_empty() && set.is_empty() {
-                entries.push((Vec::new(), plan.agg_calls.iter().map(Acc::new).collect()));
-            }
-            emit_group_rows(entries, set, &plan, &mut out);
+            emit_group_rows(grouped_serial(&input, set, &plan), set, &plan, &mut out);
         }
         Ok(out)
     }
@@ -2326,6 +2277,78 @@ mod tests {
         ];
         assert_eq!(execute_serial(&g, &db).unwrap(), expect);
         assert_eq!(execute(&g, &db).unwrap(), expect);
+    }
+
+    /// A GROUP BY straight over a base table is legal, though the builder
+    /// never emits one: it aggregates the table's columnar snapshot, byte
+    /// for byte like the serial oracle, also over an empty table.
+    #[test]
+    fn group_by_directly_over_a_base_table() {
+        use sumtab_qgm::{AggCall, AggFunc, GroupByBox, OutputCol};
+        let (cat, full) = setup();
+        let mut empty = Database::new();
+        empty.insert(&cat, "trans", Vec::new()).unwrap();
+        let agg = |func, arg| {
+            ScalarExpr::Agg(AggCall {
+                func,
+                arg,
+                distinct: false,
+            })
+        };
+        for sets in [vec![vec![0, 1]], vec![vec![0, 1], vec![1], vec![]]] {
+            // trans(tid, faid, flid, fpgid, date, qty, price, disc), grouped
+            // by faid and fpgid.
+            let mut g = QgmGraph::new();
+            let t = g.add_box(BoxKind::BaseTable {
+                table: "trans".into(),
+            });
+            g.boxed_mut(t).outputs = (0..8)
+                .map(|i| OutputCol {
+                    name: format!("c{i}"),
+                    expr: ScalarExpr::BaseCol(i),
+                })
+                .collect();
+            let gb = g.add_box(BoxKind::GroupBy(GroupByBox {
+                items: Vec::new(),
+                sets,
+            }));
+            let q = g.add_quant(gb, t, QuantKind::Foreach, "t");
+            let col = |ordinal| ColRef { qid: q, ordinal };
+            let items = vec![col(1), col(3)];
+            let outputs = [
+                ScalarExpr::Col(col(1)),
+                ScalarExpr::Col(col(3)),
+                agg(AggFunc::Sum, Some(col(5))),
+                agg(AggFunc::Count, None),
+                agg(AggFunc::Max, Some(col(6))),
+            ];
+            let bx = g.boxed_mut(gb);
+            if let BoxKind::GroupBy(gbb) = &mut bx.kind {
+                gbb.items = items;
+            }
+            bx.outputs = outputs
+                .into_iter()
+                .enumerate()
+                .map(|(i, expr)| OutputCol {
+                    name: format!("o{i}"),
+                    expr,
+                })
+                .collect();
+            g.root = gb;
+            for db in [&full, &empty] {
+                let serial = execute_serial(&g, db).unwrap();
+                assert!(!serial.is_empty() || db.row_count("trans") == 0);
+                for pool in [1, 2] {
+                    for morsel in [1, 1024] {
+                        let opts = ExecOptions {
+                            pool_size: pool,
+                            morsel_size: morsel,
+                        };
+                        assert_eq!(execute_with(&g, db, &opts).unwrap(), serial);
+                    }
+                }
+            }
+        }
     }
 
     /// Bounded-heap top-k selection must be byte-identical to a stable full
