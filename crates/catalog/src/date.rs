@@ -102,12 +102,12 @@ impl Date {
 }
 
 /// True when `year` is a Gregorian leap year.
-pub fn is_leap_year(year: i32) -> bool {
+fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 /// Number of days in the given month of the given year.
-pub fn days_in_month(year: i32, month: u8) -> u32 {
+fn days_in_month(year: i32, month: u8) -> u32 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,

@@ -91,15 +91,6 @@ impl TableSet {
         }
     }
 
-    /// Build from an iterator of names.
-    pub fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> TableSet {
-        let mut s = TableSet::new();
-        for n in names {
-            s.insert(n);
-        }
-        s
-    }
-
     /// The sorted, de-duplicated, lower-cased names.
     pub fn names(&self) -> &[String] {
         &self.names
@@ -186,10 +177,18 @@ impl std::fmt::Display for MatchSignature {
 mod tests {
     use super::*;
 
+    fn table_set(names: &[&str]) -> TableSet {
+        let mut s = TableSet::new();
+        for n in names {
+            s.insert(n);
+        }
+        s
+    }
+
     #[test]
     fn table_set_algebra() {
-        let a = TableSet::from_names(["Trans", "loc"]);
-        let b = TableSet::from_names(["trans", "loc", "acct"]);
+        let a = table_set(&["Trans", "loc"]);
+        let b = table_set(&["trans", "loc", "acct"]);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
         assert!(a.intersects(&b));
@@ -197,7 +196,7 @@ mod tests {
         assert!(!a.contains("acct"));
         assert_eq!(a.names(), ["loc", "trans"]);
 
-        let c = TableSet::from_names(["other"]);
+        let c = table_set(&["other"]);
         assert!(!a.intersects(&c));
         assert!(!c.is_subset(&b));
         assert!(TableSet::new().is_subset(&a), "empty set is subset of all");
@@ -220,7 +219,7 @@ mod tests {
     #[test]
     fn display_is_compact() {
         let sig = MatchSignature {
-            tables: TableSet::from_names(["trans"]),
+            tables: table_set(&["trans"]),
             agg_mask: agg_kind::COUNT,
             group_agg_masks: vec![agg_kind::COUNT],
             grouping_cols: vec!["trans.faid".into()],

@@ -19,7 +19,7 @@ pub enum SqlType {
 
 impl SqlType {
     /// True for types on which `+ - * /` are defined.
-    pub fn is_numeric(self) -> bool {
+    fn is_numeric(self) -> bool {
         matches!(self, SqlType::Int | SqlType::Double)
     }
 
@@ -34,7 +34,7 @@ impl SqlType {
     }
 
     /// Canonical SQL spelling, used when rendering DDL.
-    pub fn sql_name(self) -> &'static str {
+    fn sql_name(self) -> &'static str {
         match self {
             SqlType::Int => "INT",
             SqlType::Double => "DOUBLE",

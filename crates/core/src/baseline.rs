@@ -45,7 +45,7 @@ pub struct SingleBlock {
 
 /// Extract the single-block shape, or `None` when the graph is outside the
 /// baseline's domain (multi-block, expressions, subqueries, cubes, ...).
-pub fn single_block(g: &QgmGraph) -> Option<SingleBlock> {
+fn single_block(g: &QgmGraph) -> Option<SingleBlock> {
     // Accept exactly Select ← [GroupBy ← Select] ← base tables.
     let root = g.boxed(g.root);
     if !root.is_select() {

@@ -9,7 +9,7 @@
 
 use crate::equiv::{equiv_eq, ColEquiv};
 use crate::translate::Avail;
-use sumtab_qgm::{ColRef, ScalarExpr};
+use sumtab_qgm::ScalarExpr;
 
 /// Derive `expr` (mixed space, normalized) over the available columns.
 /// Returns the compensation-space expression, or `None` when underivable.
@@ -81,21 +81,12 @@ pub fn derive(expr: &ScalarExpr, avail: &[Avail], eq: &ColEquiv) -> Option<Scala
     })
 }
 
-/// Count the number of distinct available columns an expression references —
-/// diagnostics for the minimal-derivation tie-break.
-pub fn referenced_cols(expr: &ScalarExpr) -> Vec<ColRef> {
-    let mut refs = expr.col_refs();
-    refs.sort();
-    refs.dedup();
-    refs
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests assert on fixed inputs
 mod tests {
     use super::*;
     use sumtab_catalog::Value;
-    use sumtab_qgm::{BinOp, GraphId, QuantId};
+    use sumtab_qgm::{BinOp, ColRef, GraphId, QuantId};
 
     fn cr(q: u32, o: usize) -> ColRef {
         ColRef {
@@ -113,6 +104,14 @@ mod tests {
 
     fn out(o: usize) -> ColRef {
         cr(99, o)
+    }
+
+    /// The distinct columns an expression references.
+    fn referenced_cols(expr: &ScalarExpr) -> Vec<ColRef> {
+        let mut refs = expr.col_refs();
+        refs.sort();
+        refs.dedup();
+        refs
     }
 
     /// Availability: value = qty*price (out 0), qty (out 1), price (out 2),

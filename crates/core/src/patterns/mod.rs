@@ -73,7 +73,7 @@ pub fn child_entry(ctx: &Ctx<'_>, side: Side, ce: BoxId, cr: BoxId) -> Option<Ma
 }
 
 /// The subsumer box a compensation fragment ultimately references.
-pub fn subsumer_target(ctx: &Ctx<'_>, b: BoxId) -> Option<BoxId> {
+fn subsumer_target(ctx: &Ctx<'_>, b: BoxId) -> Option<BoxId> {
     match &ctx.comp.boxed(b).kind {
         BoxKind::SubsumerRef { target, .. } => Some(*target),
         _ => ctx

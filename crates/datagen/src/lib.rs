@@ -93,7 +93,7 @@ pub fn generate(cfg: &GenConfig) -> (Catalog, Database) {
 // Generated rows conform to the generator's own schema; insertion failures
 // are programming errors, so panicking is the right response here.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-pub fn generate_into(cfg: &GenConfig, catalog: &Catalog) -> Database {
+fn generate_into(cfg: &GenConfig, catalog: &Catalog) -> Database {
     assert!(cfg.locations >= 2, "need at least two locations");
     assert!(cfg.accounts >= 1 && cfg.customers >= 1 && cfg.pgroups >= 1);
     assert!(cfg.years >= 1);

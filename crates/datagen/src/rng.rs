@@ -23,7 +23,7 @@ impl SplitMix64 {
     }
 
     /// The next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -62,7 +62,7 @@ impl SplitMix64 {
     }
 
     /// A uniform double in `[0, 1)` with 53 bits of precision.
-    pub fn gen_f64(&mut self) -> f64 {
+    fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

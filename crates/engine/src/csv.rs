@@ -26,7 +26,7 @@ impl std::fmt::Display for CsvError {
 impl std::error::Error for CsvError {}
 
 /// Split one CSV record into fields (RFC 4180 quoting).
-pub fn split_record(line: &str) -> Vec<String> {
+fn split_record(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut chars = line.chars().peekable();

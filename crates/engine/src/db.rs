@@ -3,7 +3,7 @@
 //! `rows()` is a zero-cost slice borrow of the row store; scans in the
 //! columnar executor read a [`ColumnarTable`]: typed per-column vectors
 //! with a null bitmap and dictionary-encoded strings. A view is built on
-//! first use ([`ColumnarTable::from_rows`], the only from-scratch builder)
+//! first use (`ColumnarTable::from_rows`, the only from-scratch builder)
 //! and from then on a row-level mutation (`mutate`, and `insert`,
 //! `remove_rows`, `replace_rows`, which validate and call it) changes both
 //! representations with the same positional operations, so row *i* of
@@ -74,8 +74,8 @@ pub enum ColSlice<'a> {
 }
 
 /// Test bit `i` of an optional null bitmap (64 rows per word, bit set =
-/// NULL) — the shared probe for vectorized predicate kernels and group-key
-/// encoders working off [`ColumnVec::null_words`] slices.
+/// NULL) — the shared probe for [`ColumnVec::is_null`] and the vectorized
+/// predicate kernels working off [`ColumnVec::null_words`] slices.
 #[inline]
 pub(crate) fn null_bit(nulls: Option<&[u64]>, i: usize) -> bool {
     match nulls {
@@ -224,7 +224,7 @@ pub struct ColumnarTable {
 
 impl ColumnarTable {
     /// Transpose a row slice into typed columns.
-    pub fn from_rows(rows: &[Row]) -> ColumnarTable {
+    fn from_rows(rows: &[Row]) -> ColumnarTable {
         let width = rows.first().map(Vec::len).unwrap_or(0);
         let cols = (0..width).map(|c| build_column(rows, c)).collect();
         ColumnarTable {
@@ -257,15 +257,6 @@ impl ColumnarTable {
     #[inline]
     pub fn cell(&self, row: usize, col: usize) -> Cell<'_> {
         self.cols[col].cell(row)
-    }
-
-    /// Append all of row `row`'s values to `out` (reconstructs the exact
-    /// `Value` variants of the source rows).
-    pub fn append_row(&self, row: usize, out: &mut Row) {
-        out.reserve(self.cols.len());
-        for c in &self.cols {
-            out.push(c.value(row));
-        }
     }
 
     /// Remove row `i`, filling the hole with the last row: what
@@ -565,11 +556,7 @@ impl Database {
     /// and types, widening integer values to doubles where the schema
     /// requires it. Shared by [`Database::insert`] and
     /// [`Database::replace_rows`].
-    pub fn validate_rows(
-        catalog: &Catalog,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<Vec<Row>, DbError> {
+    fn validate_rows(catalog: &Catalog, table: &str, rows: Vec<Row>) -> Result<Vec<Row>, DbError> {
         let t = catalog
             .table(table)
             .ok_or_else(|| DbError::UnknownTable(table.into()))?;
@@ -927,9 +914,6 @@ mod tests {
                 // Variant identity, not just grouping equality.
                 assert_eq!(col.columns()[c].value(i).sql_type(), want.sql_type());
             }
-            let mut rebuilt = Vec::new();
-            col.append_row(i, &mut rebuilt);
-            assert_eq!(&rebuilt, row);
         }
         // The dictionary deduplicates: two "tv" cells, one entry.
         match &col.columns()[2].data {
@@ -1277,8 +1261,7 @@ mod tests {
         assert_eq!(db.remove_rows("t", &[row(299)]), 1);
         assert_eq!(held.len(), before.len());
         for (i, want) in before.iter().enumerate() {
-            let mut got = Vec::new();
-            held.append_row(i, &mut got);
+            let got: Row = held.columns().iter().map(|c| c.value(i)).collect();
             assert_eq!(&got, want, "held snapshot row {i}");
         }
         assert!(!Arc::ptr_eq(&held, &db.columnar("t")));

@@ -103,7 +103,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produce the next token.
-    pub fn next_token(&mut self) -> Result<Spanned, LexError> {
+    fn next_token(&mut self) -> Result<Spanned, LexError> {
         self.skip_trivia()?;
         let offset = self.pos;
         let Some(b) = self.peek() else {

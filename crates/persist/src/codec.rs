@@ -271,7 +271,7 @@ fn sql_type_from(tag: u8) -> Result<SqlType, CodecError> {
 
 /// Encode one [`Value`]. Dates travel as their day number, so any date the
 /// calendar module accepts round-trips exactly.
-pub fn encode_value(e: &mut Enc, v: &Value) {
+fn encode_value(e: &mut Enc, v: &Value) {
     match v {
         Value::Null => e.u8(0),
         Value::Int(i) => {
@@ -298,7 +298,7 @@ pub fn encode_value(e: &mut Enc, v: &Value) {
 }
 
 /// Decode one [`Value`].
-pub fn decode_value(d: &mut Dec<'_>) -> Result<Value, CodecError> {
+fn decode_value(d: &mut Dec<'_>) -> Result<Value, CodecError> {
     Ok(match d.u8()? {
         0 => Value::Null,
         1 => Value::Int(d.i64()?),

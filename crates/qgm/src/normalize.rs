@@ -116,7 +116,7 @@ fn merge_one(g: &mut QgmGraph, parent: crate::graph::BoxId, q: crate::graph::Qua
 
 /// Rebuild the graph keeping only boxes reachable from the root. Box and
 /// quantifier ids are remapped; the graph receives a fresh identity.
-pub fn compact(g: &mut QgmGraph) {
+fn compact(g: &mut QgmGraph) {
     let mut fresh = QgmGraph::new();
     fresh.order = g.order.clone();
     let new_root = fresh.clone_subgraph(g, g.root);

@@ -37,7 +37,7 @@ pub fn render_graph_sql(g: &QgmGraph) -> String {
 }
 
 /// Render one box as a complete `SELECT` statement.
-pub fn render_box(g: &QgmGraph, b: BoxId) -> String {
+fn render_box(g: &QgmGraph, b: BoxId) -> String {
     let bx = g.boxed(b);
     match &bx.kind {
         BoxKind::BaseTable { table } => {
