@@ -7,13 +7,13 @@
 //!   columnar snapshot or materialized rows) and a list of its row indices.
 //!   Groups are found by the hash of their key cells (dictionary codes,
 //!   bits or day numbers off typed columns; `Value`'s hash for rows and
-//!   `Mixed` storage) and confirmed against each group's first-occurrence
-//!   row; accumulators fold [`Cell`] views via [`Acc::update_cell`], and a
-//!   group's key `Value`s are built once, when it is emitted. Each worker
-//!   owns the groups whose key hash lands in its partition and folds their
-//!   rows **in global row order** (float addition is non-associative, so
-//!   merging per-morsel partials would drift from the serial result in the
-//!   low bits).
+//!   `Mixed` storage) and confirmed against the key cells of each group's
+//!   first-occurrence row; accumulators fold [`Cell`] views via
+//!   [`Acc::update_cell`], and a group's key `Value`s are built once, when
+//!   it first occurs. Each worker owns the groups whose key hash lands in
+//!   its partition and folds their rows **in global row order** (float
+//!   addition is non-associative, so merging per-morsel partials would
+//!   drift from the serial result in the low bits).
 //!
 //! Both emit entries in first-occurrence order of the group key, which is
 //! the executor's deterministic output order, and [`emit_group_rows`] adds
@@ -198,6 +198,11 @@ pub(crate) enum OutPlan {
 
 /// The shared aggregation plan for a GROUP BY box.
 pub(crate) struct GroupPlan {
+    /// The box the GROUP BY reads.
+    pub(crate) input: BoxId,
+    /// Its grouping sets (Section 5: a cube query is the union of its
+    /// cuboids, NULL-padding the grouped-out columns).
+    pub(crate) sets: Vec<Vec<usize>>,
     pub(crate) item_ords: Vec<usize>,
     pub(crate) agg_calls: Vec<AggCall>,
     pub(crate) out_plan: Vec<OutPlan>,
@@ -240,7 +245,13 @@ pub(crate) fn plan_group_by(g: &QgmGraph, b: BoxId) -> Result<GroupPlan, ExecErr
             }
         }
     }
+    let child_q = *bx
+        .quants
+        .first()
+        .ok_or_else(|| ExecError::malformed(b, "group-by box has no input quantifier"))?;
     Ok(GroupPlan {
+        input: g.input_of(child_q),
+        sets: gb.sets.clone(),
         item_ords,
         agg_calls,
         out_plan,
@@ -343,10 +354,14 @@ enum KeyCol<'a> {
     Rows(&'a [Row], usize),
 }
 
+/// One group while folding: first-occurrence position, key, accumulators.
+type Entry = (u32, Vec<Value>, Vec<Acc>);
+
 /// One cuboid's fold over one input.
 struct Fold<'a> {
     src: Source<'a>,
     input: &'a GroupInput<'a>,
+    set: &'a [usize],
     /// The cuboid's grouping columns.
     cols: Vec<KeyCol<'a>>,
     plan: &'a GroupPlan,
@@ -368,14 +383,21 @@ impl<'a> Fold<'a> {
         }
     }
 
-    /// The key hash of the row at position `fi` of the input's rows.
+    /// The key hash of the row at position `fi` of the input's rows. Fx
+    /// only mixes upward, and an integer `Value` hashes as its widened
+    /// double, whose low bits are zero. Partitions and the group index read
+    /// the low bits, so the finishing mix spreads the high ones down;
+    /// without it, distinct integer keys of materialized rows collide in
+    /// the index and grouping them turns quadratic.
     fn hash(&self, fi: usize) -> u64 {
         let row = self.input.rows[fi] as usize;
         let mut h = FxHasher::default();
         for k in 0..self.cols.len() {
             self.key_cell(row, k).hash(&mut h);
         }
-        h.finish()
+        let h = h.finish();
+        let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
     }
 
     /// Fold source row `row` into its group's accumulators.
@@ -392,29 +414,43 @@ impl<'a> Fold<'a> {
 
     /// Fold the `(position in rows, key hash)` pairs of one partition, in
     /// global order. A row finds its group by hash and confirms it against
-    /// the group's first-occurrence row; entries carry that row's position.
-    fn fold_part(&self, hashed: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, Vec<Acc>)> {
+    /// the key cells of the group's first-occurrence row, kept side by side
+    /// in `firsts`; a `Value` cell is compared with the group's key instead,
+    /// which sits in one small allocation where the first row may be far
+    /// away. Entries carry the first row's position.
+    fn fold_part(&self, hashed: impl Iterator<Item = (u32, u64)>) -> Vec<Entry> {
+        const NONE: u32 = u32::MAX;
         let rows = &self.input.rows;
-        let mut out: Vec<(u32, Vec<Acc>)> = Vec::new();
-        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let k = self.cols.len();
+        let mut out: Vec<Entry> = Vec::new();
+        let mut firsts: Vec<KeyCell<'a>> = Vec::new();
+        // A hash maps to its latest group; `chain[e]` is the group before
+        // `e` with the same hash, or `NONE`.
+        let mut index: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut chain: Vec<u32> = Vec::new();
         let mut scratch = Scratch::new();
         for (fi, h) in hashed {
             let row = rows[fi as usize] as usize;
-            let found = index.get(&h).and_then(|cands| {
-                cands.iter().copied().find(|&e| {
-                    let first = rows[out[e as usize].0 as usize] as usize;
-                    (0..self.cols.len()).all(|k| self.key_cell(row, k) == self.key_cell(first, k))
+            let mut e = index.get(&h).copied().unwrap_or(NONE);
+            while e != NONE
+                && !(0..k).all(|j| match self.key_cell(row, j) {
+                    KeyCell::Value(v) => *v == out[e as usize].1[j],
+                    cell => cell == firsts[e as usize * k + j],
                 })
-            });
-            let e = match found {
-                Some(e) => e as usize,
-                None => {
-                    index.entry(h).or_default().push(out.len() as u32);
-                    out.push((fi, new_accs(self.plan)));
-                    out.len() - 1
-                }
-            };
-            self.fold(&mut out[e].1, row, &mut scratch);
+            {
+                e = chain[e as usize];
+            }
+            if e == NONE {
+                e = out.len() as u32;
+                chain.push(index.insert(h, e).unwrap_or(NONE));
+                firsts.extend((0..k).map(|j| self.key_cell(row, j)));
+                let key = self
+                    .set
+                    .iter()
+                    .map(|&s| self.src.cell(row, self.input.keys[s]));
+                out.push((fi, key.map(Cell::into_value).collect(), new_accs(self.plan)));
+            }
+            self.fold(&mut out[e as usize].2, row, &mut scratch);
         }
         out
     }
@@ -427,9 +463,9 @@ impl<'a> Fold<'a> {
 /// `Vec` moves only; phase 3 gives each worker whole partitions to fold — a
 /// partition owns every row of its groups, in global row order, so float
 /// accumulation matches the serial fold exactly. A single worker folds
-/// every row in place. Phase 4 merges partitions by first-occurrence
-/// position (the serial entry order) and builds each group's key `Value`s,
-/// once.
+/// every row in place. A group's key `Value`s are built once, from its
+/// first-occurrence row while that row is in hand. Phase 4 merges
+/// partitions by first-occurrence position, the serial entry order.
 pub(crate) fn grouped(
     src: Source<'_>,
     input: &GroupInput<'_>,
@@ -456,6 +492,7 @@ pub(crate) fn grouped(
     let f = Fold {
         src,
         input,
+        set,
         cols,
         plan,
     };
@@ -472,7 +509,7 @@ pub(crate) fn grouped(
     }
 
     let w = row_workers(workers, rows.len());
-    let parts: Vec<Vec<(u32, Vec<Acc>)>> = if w == 1 {
+    let parts: Vec<Vec<Entry>> = if w == 1 {
         vec![f.fold_part((0..rows.len()).map(|fi| (fi as u32, f.hash(fi))))]
     } else {
         let nparts = w.next_power_of_two();
@@ -503,18 +540,9 @@ pub(crate) fn grouped(
     };
 
     // Phase 4: merge partitions into global first-occurrence order.
-    let mut all: Vec<(u32, Vec<Acc>)> = parts.into_iter().flatten().collect();
+    let mut all: Vec<Entry> = parts.into_iter().flatten().collect();
     all.sort_by_key(|e| e.0);
-    all.into_iter()
-        .map(|(fi, accs)| {
-            let row = rows[fi as usize] as usize;
-            let key = set
-                .iter()
-                .map(|&s| src.cell(row, input.keys[s]).into_value())
-                .collect();
-            (key, accs)
-        })
-        .collect()
+    all.into_iter().map(|(_, k, a)| (k, a)).collect()
 }
 
 /// Render finished group entries through the output plan.
@@ -550,6 +578,32 @@ pub(crate) fn emit_group_rows(
 mod tests {
     use super::*;
     use sumtab_catalog::Date;
+
+    /// Integer keys of materialized rows hash as widened doubles, whose low
+    /// bits are zero; the fold's key hash must still spread them over the
+    /// low bits that partitions and the group index read.
+    #[test]
+    fn integer_row_keys_spread_over_low_hash_bits() {
+        let rows: Vec<Row> = (0..4096).map(|i| vec![Value::Int(i)]).collect();
+        let plan = GroupPlan {
+            input: BoxId(0),
+            sets: vec![vec![0]],
+            item_ords: vec![0],
+            agg_calls: Vec::new(),
+            out_plan: Vec::new(),
+        };
+        let input = GroupInput::whole(rows.len(), &plan);
+        let f = Fold {
+            src: Source::Rows(&rows),
+            input: &input,
+            set: &[0],
+            cols: vec![KeyCol::Rows(&rows, 0)],
+            plan: &plan,
+        };
+        let low: std::collections::HashSet<u64> =
+            (0..rows.len()).map(|fi| f.hash(fi) & 0xfff).collect();
+        assert!(low.len() > 2000, "{} distinct low-bit patterns", low.len());
+    }
 
     /// `Cell::grouping_cmp` must agree with `Value::cmp` for every pair of
     /// sample values — MIN/MAX folded through cells must pick exactly the

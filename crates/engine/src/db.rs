@@ -107,11 +107,6 @@ impl ColumnVec {
         }
     }
 
-    /// Owned value of row `i`.
-    pub fn value(&self, i: usize) -> Value {
-        self.cell(i).into_value()
-    }
-
     /// The typed storage view, for vectorized kernels.
     pub fn slice(&self) -> ColSlice<'_> {
         match &self.data {
@@ -241,11 +236,6 @@ impl ColumnarTable {
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Column count.
-    pub fn width(&self) -> usize {
-        self.cols.len()
     }
 
     /// The columns.
@@ -907,12 +897,19 @@ mod tests {
         db.put_table("t", rows.clone());
         let col = db.columnar("t");
         assert_eq!(col.len(), 3);
-        assert_eq!(col.width(), 6);
+        assert_eq!(col.columns().len(), 6);
         for (i, row) in rows.iter().enumerate() {
             for (c, want) in row.iter().enumerate() {
-                assert_eq!(&col.columns()[c].value(i), want, "cell ({i},{c})");
+                assert_eq!(
+                    &col.columns()[c].cell(i).into_value(),
+                    want,
+                    "cell ({i},{c})"
+                );
                 // Variant identity, not just grouping equality.
-                assert_eq!(col.columns()[c].value(i).sql_type(), want.sql_type());
+                assert_eq!(
+                    col.columns()[c].cell(i).into_value().sql_type(),
+                    want.sql_type()
+                );
             }
         }
         // The dictionary deduplicates: two "tv" cells, one entry.
@@ -1029,11 +1026,11 @@ mod tests {
         let rows = db.rows("t");
         let oracle = ColumnarTable::from_rows(rows);
         assert_eq!(view.len(), oracle.len(), "{ctx}: len");
-        assert_eq!(view.width(), oracle.width(), "{ctx}: width");
+        assert_eq!(view.columns().len(), oracle.columns().len(), "{ctx}: width");
         for (i, row) in rows.iter().enumerate() {
             for (c, stored) in row.iter().enumerate() {
-                let got = view.columns()[c].value(i);
-                let want = oracle.columns()[c].value(i);
+                let got = view.columns()[c].cell(i).into_value();
+                let want = oracle.columns()[c].cell(i).into_value();
                 assert_eq!(got, want, "{ctx}: cell ({i},{c})");
                 assert_eq!(got.sql_type(), want.sql_type(), "{ctx}: type ({i},{c})");
                 assert_eq!(&got, stored, "{ctx}: row store ({i},{c})");
@@ -1184,7 +1181,7 @@ mod tests {
         let rest = db.rows("t").to_vec();
         assert_eq!(db.remove_rows("t", &rest), 1);
         assert_eq!(
-            db.columnar("t").width(),
+            db.columnar("t").columns().len(),
             0,
             "an emptied view has no columns"
         );
@@ -1261,7 +1258,11 @@ mod tests {
         assert_eq!(db.remove_rows("t", &[row(299)]), 1);
         assert_eq!(held.len(), before.len());
         for (i, want) in before.iter().enumerate() {
-            let got: Row = held.columns().iter().map(|c| c.value(i)).collect();
+            let got: Row = held
+                .columns()
+                .iter()
+                .map(|c| c.cell(i).into_value())
+                .collect();
             assert_eq!(&got, want, "held snapshot row {i}");
         }
         assert!(!Arc::ptr_eq(&held, &db.columnar("t")));

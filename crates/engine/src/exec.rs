@@ -1561,21 +1561,12 @@ impl ParExec<'_> {
         Some((Child::Col(t), GroupInput { rows, keys, args }))
     }
 
-    /// One fold per cuboid (Section 5: a cube query is the union of its
-    /// cuboids, NULL-padding the grouped-out columns) over one of two
-    /// inputs: a base table, or a one-level scan of one, is aggregated in
-    /// place off its columnar snapshot; any other input is materialized.
+    /// One fold per cuboid over one of two inputs: a base table, or a
+    /// one-level scan of one, is aggregated in place off its columnar
+    /// snapshot; any other input is materialized.
     fn exec_group_by(&mut self, b: BoxId) -> Result<Vec<Row>, ExecError> {
-        let bx = self.g.boxed(b);
-        let gb = bx
-            .as_group_by()
-            .ok_or_else(|| ExecError::malformed(b, "exec_group_by on a non-GROUP-BY box"))?;
-        let child_q = *bx
-            .quants
-            .first()
-            .ok_or_else(|| ExecError::malformed(b, "group-by box has no input quantifier"))?;
-        let input_box = self.g.input_of(child_q);
         let plan = plan_group_by(self.g, b)?;
+        let input_box = plan.input;
 
         // A SELECT input consumed only by this box is planned here, so a
         // scan of it can be aggregated without materializing it.
@@ -1600,7 +1591,7 @@ impl ParExec<'_> {
             }
         };
         let mut out: Vec<Row> = Vec::new();
-        for set in &gb.sets {
+        for set in &plan.sets {
             let entries = grouped(data.source(), &input, set, &plan, self.workers, self.morsel);
             emit_group_rows(entries, set, &plan, &mut out);
         }
@@ -1879,19 +1870,10 @@ impl SerialExec<'_> {
     }
 
     fn exec_group_by(&mut self, b: BoxId) -> Result<Vec<Row>, ExecError> {
-        let bx = self.g.boxed(b);
-        let gb = bx
-            .as_group_by()
-            .ok_or_else(|| ExecError::malformed(b, "exec_group_by on a non-GROUP-BY box"))?;
-        let child_q = *bx
-            .quants
-            .first()
-            .ok_or_else(|| ExecError::malformed(b, "group-by box has no input quantifier"))?;
-        let input = self.exec_box(self.g.input_of(child_q))?;
         let plan = plan_group_by(self.g, b)?;
-
+        let input = self.exec_box(plan.input)?;
         let mut out: Vec<Row> = Vec::new();
-        for set in &gb.sets {
+        for set in &plan.sets {
             emit_group_rows(grouped_serial(&input, set, &plan), set, &plan, &mut out);
         }
         Ok(out)
