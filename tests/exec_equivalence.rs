@@ -207,6 +207,29 @@ fn fixture() -> (Catalog, Database) {
         })
         .collect();
     db.insert(&catalog, "keyed", keyed).unwrap();
+
+    // `wide` carries a VARCHAR with one value per row (every ninth NULL),
+    // so a derived table grouped by it is a build side with one key per row.
+    catalog
+        .add_table(Table::new(
+            "wide",
+            vec![
+                Column::new("id", SqlType::Int),
+                Column::nullable("s", SqlType::Varchar),
+            ],
+        ))
+        .unwrap();
+    let wide: Vec<Vec<Value>> = (0..3000)
+        .map(|i: i64| {
+            let s = if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Str(format!("w{i}"))
+            };
+            vec![Value::Int(i), s]
+        })
+        .collect();
+    db.insert(&catalog, "wide", wide).unwrap();
     (catalog, db)
 }
 
@@ -316,6 +339,22 @@ const ADVERSARIAL_QUERIES: &[&str] = &[
     // An empty driver against a non-empty cross level, and the reverse.
     "select emptyt.v, dim2.w from emptyt, dim2",
     "select dim2.w, emptyt.v from dim2, emptyt",
+    // Wide derived build sides, one key per build row: keyed by an
+    // integer, by a VARCHAR expression and by a DOUBLE expression.
+    "select trans.tid, v.n from trans, \
+     (select tid as k, count(*) as n from trans group by tid) as v where trans.tid = v.k",
+    "select wide.id, v.n from wide, \
+     (select upper(s) as u, count(*) as n from wide group by upper(s)) as v \
+     where upper(wide.s) = v.u",
+    "select trans.tid, v.n from trans, \
+     (select tid * 0.5 as k, count(*) as n from trans group by tid * 0.5) as v \
+     where trans.tid * 0.5 = v.k",
+    // A derived table entered with no equi-join conjunct: a filtered cross
+    // product, and a level linked only by a non-equi residual.
+    "select dim2.w, v.k from dim2, \
+     (select tid as k, count(*) as n from trans group by tid) as v where v.k < 600",
+    "select hot.uniq, v.j from hot, (select j, count(*) as c from hot group by j) as v \
+     where hot.uniq < 40 and hot.j < v.j",
 ];
 
 /// Grouping keys in every storage the executor reads — a `Mixed` nullable
@@ -429,7 +468,7 @@ fn star_schema_joins_match_serial() {
 /// Adversarial shapes for the partitioned join build and the fused
 /// scan→aggregate path: one hot join key owning 90% of the probe rows,
 /// high-cardinality grouping (every row its own group), empty build sides,
-/// and NULL-dense join columns.
+/// NULL-dense join columns, and derived build sides with one key per row.
 #[test]
 fn adversarial_join_and_aggregate_shapes_match_serial() {
     let (catalog, db) = fixture();
