@@ -19,13 +19,15 @@ use sumtab_bench::{median_time, prepare};
 
 /// (name, SQL, floor) triples exercising each executor layer: the fused
 /// columnar scan, the fused join pipeline over a partitioned hash build,
-/// the fused scan→aggregate grouping-sets fold, and top-k inside the morsel
-/// scan over a single table and behind a join. The floor is the minimum
+/// the fused scan→aggregate grouping-sets fold, top-k inside the morsel
+/// scan over a single table and behind a join, and a join whose build side
+/// is a derived table with one integer key per row (it would turn quadratic
+/// if integer keys shared their low hash bits). The floor is the minimum
 /// parallel-over-serial speedup tolerated at the biggest scale — set well
 /// under steady-state measurements (200,000 rows, 2 cores: large_scan
 /// ~7–8×, join_group_by ~4×, grouping_sets ~7–8×, top_k ~70–90×,
-/// top_k_join ~25–28×; `--quick` at 20,000 rows reads top_k ~20–30× and
-/// top_k_join ~9–15×)
+/// top_k_join ~25–28×, join_wide_build ~3×; `--quick` at 20,000 rows reads
+/// top_k ~20–30×, top_k_join ~9–15× and join_wide_build ~2×)
 /// so a real regression trips it, not scheduler jitter. Every case must
 /// clear 1.5×: the parallel path is the default executor and has no
 /// business losing to the row-at-a-time interpreter anywhere.
@@ -58,6 +60,13 @@ const CASES: &[(&str, &str, f64)] = &[
         "select tid, pgname, price from trans, pgroup where fpgid = pgid \
          order by price desc, tid limit 10",
         5.0,
+    ),
+    (
+        "join_wide_build",
+        "select count(*) as c from trans, \
+         (select tid as k, count(*) as n from trans group by tid) as v \
+         where trans.tid = v.k",
+        1.5,
     ),
 ];
 

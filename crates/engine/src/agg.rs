@@ -20,7 +20,7 @@
 //! the grand-total row of an empty input for both.
 
 use crate::db::{null_bit, ColSlice, Row};
-use crate::exec::{par_map, par_map_vec, row_workers, Source};
+use crate::exec::{par_partition, Source};
 use crate::program::{Cell, Program, Scratch};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -383,21 +383,14 @@ impl<'a> Fold<'a> {
         }
     }
 
-    /// The key hash of the row at position `fi` of the input's rows. Fx
-    /// only mixes upward, and an integer `Value` hashes as its widened
-    /// double, whose low bits are zero. Partitions and the group index read
-    /// the low bits, so the finishing mix spreads the high ones down;
-    /// without it, distinct integer keys of materialized rows collide in
-    /// the index and grouping them turns quadratic.
+    /// The key hash of the row at position `fi` of the input's rows.
     fn hash(&self, fi: usize) -> u64 {
         let row = self.input.rows[fi] as usize;
         let mut h = FxHasher::default();
         for k in 0..self.cols.len() {
             self.key_cell(row, k).hash(&mut h);
         }
-        let h = h.finish();
-        let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 33)
+        h.finish()
     }
 
     /// Fold source row `row` into its group's accumulators.
@@ -456,16 +449,12 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Hash-aggregate one cuboid of `input`, read from `src`, with
-/// key-hash-partitioned parallelism. Phase 1 hashes each row's key cells
-/// and scatters `(position, hash)` pairs into per-morsel partition buckets
-/// (morsel-parallel); phase 2 transposes the buckets partition-major with
-/// `Vec` moves only; phase 3 gives each worker whole partitions to fold — a
-/// partition owns every row of its groups, in global row order, so float
-/// accumulation matches the serial fold exactly. A single worker folds
-/// every row in place. A group's key `Value`s are built once, from its
-/// first-occurrence row while that row is in hand. Phase 4 merges
-/// partitions by first-occurrence position, the serial entry order.
+/// Hash-aggregate one cuboid of `input`, read from `src`, partitioned by
+/// key hash through [`par_partition`]: a partition owns every row of its
+/// groups and folds them in global row order, so float accumulation
+/// matches the serial fold exactly. A group's key `Value`s are built once,
+/// from its first-occurrence row while that row is in hand. Partitions are
+/// then merged by first-occurrence position, the serial entry order.
 pub(crate) fn grouped(
     src: Source<'_>,
     input: &GroupInput<'_>,
@@ -507,39 +496,13 @@ pub(crate) fn grouped(
         }
         return vec![(Vec::new(), accs)];
     }
-
-    let w = row_workers(workers, rows.len());
-    let parts: Vec<Vec<Entry>> = if w == 1 {
-        vec![f.fold_part((0..rows.len()).map(|fi| (fi as u32, f.hash(fi))))]
-    } else {
-        let nparts = w.next_power_of_two();
-        let mask = (nparts - 1) as u64;
-        // Phase 1: hash + scatter, morsel-parallel.
-        let scattered: Vec<Vec<Vec<(u32, u64)>>> = par_map(w, morsel, rows.len(), |_, range| {
-            let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); nparts];
-            for fi in range {
-                let h = f.hash(fi);
-                parts[(h & mask) as usize].push((fi as u32, h));
-            }
-            parts
-        });
-        // Phase 2: transpose morsel-major → partition-major. Chunks stay in
-        // morsel order, so each partition sees its rows in global order.
-        let mut by_part: Vec<Vec<Vec<(u32, u64)>>> = (0..nparts).map(|_| Vec::new()).collect();
-        for morsel_parts in scattered {
-            for (p, chunk) in morsel_parts.into_iter().enumerate() {
-                if !chunk.is_empty() {
-                    by_part[p].push(chunk);
-                }
-            }
-        }
-        // Phase 3: one partition per worker.
-        par_map_vec(w, by_part, |_, chunks| {
-            f.fold_part(chunks.into_iter().flatten())
-        })
-    };
-
-    // Phase 4: merge partitions into global first-occurrence order.
+    let parts = par_partition(
+        workers,
+        morsel,
+        rows.len(),
+        |fi, _| Some(f.hash(fi)),
+        |chunks| f.fold_part(chunks.iter().flatten().copied()),
+    );
     let mut all: Vec<Entry> = parts.into_iter().flatten().collect();
     all.sort_by_key(|e| e.0);
     all.into_iter().map(|(_, k, a)| (k, a)).collect()

@@ -9,19 +9,22 @@
 //!   expression is compiled once per box into a flat [`Program`] of postfix
 //!   ops. A SELECT box has exactly one pipeline: it is planned into join
 //!   levels (`plan_fused`) — the driver, then one level per further
-//!   quantifier, entered through a partitioned hash table on its equi-join
-//!   conjuncts or, when it has none, through all of its filtered rows — and
-//!   driver morsels, fanned across a `std::thread::scope` pool, stream
+//!   quantifier, entered through a hash table on its equi-join conjuncts —
+//!   and driver morsels, fanned across a `std::thread::scope` pool, stream
 //!   depth-first through the levels straight into output rows
 //!   (`exec_fused`); no intermediate tuple is materialized. A single scan
-//!   is the one-level case, a cross product a level with no key. A GROUP
-//!   BY box has exactly one fold as well (`agg::grouped`): a base table, or
-//!   a one-level scan of one with bare grouping columns, is aggregated in
-//!   place off its columnar snapshot; any other input is materialized
-//!   first. Results are byte-identical to the reference for any
+//!   is the one-level case; a level with no equi-join conjunct (a cross
+//!   product) is keyed by the empty key, which matches all of its filtered
+//!   rows. A GROUP BY box has exactly one fold as well (`agg::grouped`): a
+//!   base table, or a one-level scan of one with bare grouping columns, is
+//!   aggregated in place off its columnar snapshot; any other input is
+//!   materialized first. Join tables and GROUP BY folds share one
+//!   partitioned build (`par_partition`): rows are scattered by key hash
+//!   and each worker takes whole partitions, reading their rows in global
+//!   order. Results are byte-identical to the reference for any
 //!   pool/morsel size: morsel outputs are merged in morsel order
-//!   (slot-merge discipline), GROUP BY partitions whole groups by key hash
-//!   so each group's accumulator folds its rows in global row order, and
+//!   (slot-merge discipline), a key's join matches keep build scan order,
+//!   each group's accumulator folds its rows in global row order, and
 //!   group output follows first-occurrence order in both executors.
 //! * [`execute_serial`] — the row-at-a-time interpreter, kept as the
 //!   differential-testing oracle and bench baseline.
@@ -494,58 +497,49 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// Consuming parallel map: each item of `items` is **moved** into `f`
-/// (which `par_map`'s shared-reference closures cannot do), results come
-/// back in item order. This is how partition-major work — private hash
-/// partitions, bucketed group folds — is handed to one worker per
-/// partition without cloning the partition's data.
-pub(crate) fn par_map_vec<T, U, F>(workers: usize, items: Vec<T>, f: F) -> Vec<U>
+/// The partitioned build behind the GROUP BY fold and the hash-join build:
+/// split rows `0..n` by key hash into `len` partitions (a power of two;
+/// partition `p` owns the hashes with `h & (len - 1) == p`) and fold each
+/// partition whole. Phase 1 hashes rows morsel-parallel and scatters
+/// `(row, hash)` pairs into per-morsel buckets, dropping a row whose `hash`
+/// is `None`; phase 2 transposes the buckets partition-major with `Vec`
+/// moves, keeping each partition's chunks in morsel order; phase 3 gives
+/// each worker whole partitions, so `fold` reads a partition's rows in
+/// global order. Results come back in partition order.
+pub(crate) fn par_partition<'a, P, H, F>(
+    workers: usize,
+    morsel: usize,
+    n: usize,
+    hash: H,
+    fold: F,
+) -> Vec<P>
 where
-    T: Send,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
+    P: Send,
+    H: Fn(usize, &mut Scratch<'a>) -> Option<u64> + Sync,
+    F: Fn(&[Vec<(u32, u64)>]) -> P + Sync,
 {
-    let n = items.len();
-    let workers = workers.min(n).max(1);
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let per = n.div_ceil(workers);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let mut item_chunks: Vec<Vec<T>> = Vec::new();
-        let mut it = items.into_iter();
-        loop {
-            let chunk: Vec<T> = it.by_ref().take(per).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            item_chunks.push(chunk);
-        }
-        let mut slot_chunks = slots.chunks_mut(per);
-        let mut chunks = item_chunks.into_iter();
-        // The calling thread takes the first chunk itself.
-        let first = chunks.next().zip(slot_chunks.next());
-        for (w, (chunk, slot_chunk)) in (1..).zip(chunks.zip(slot_chunks)) {
-            let f = &f;
-            s.spawn(move || {
-                for (j, (item, slot)) in chunk.into_iter().zip(slot_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(w * per + j, item));
-                }
-            });
-        }
-        if let Some((chunk, slot_chunk)) = first {
-            for (j, (item, slot)) in chunk.into_iter().zip(slot_chunk.iter_mut()).enumerate() {
-                *slot = Some(f(j, item));
+    let w = row_workers(workers, n);
+    let nparts = w.next_power_of_two();
+    let mask = (nparts - 1) as u64;
+    let scattered = par_map(w, morsel, n, |_, range| {
+        let mut scratch = Scratch::new();
+        let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); nparts];
+        for i in range {
+            if let Some(h) = hash(i, &mut scratch) {
+                parts[(h & mask) as usize].push((i as u32, h));
             }
         }
+        parts
     });
-    slots.into_iter().flatten().collect()
+    let mut by_part: Vec<Vec<Vec<(u32, u64)>>> = (0..nparts).map(|_| Vec::new()).collect();
+    for morsel_parts in scattered {
+        for (p, chunk) in morsel_parts.into_iter().enumerate() {
+            if !chunk.is_empty() {
+                by_part[p].push(chunk);
+            }
+        }
+    }
+    par_map(w, 1, nparts, |p, _| fold(&by_part[p]))
 }
 
 // ---------------------------------------------------------------------------
@@ -962,8 +956,7 @@ fn filter_indices(
 // Partitioned hash-join build
 // ---------------------------------------------------------------------------
 
-/// The partition-selection hash of a join key (independent of the
-/// per-partition map's own hashing).
+/// The hash a join key is partitioned by.
 #[inline]
 fn hash_key(key: &[Value]) -> u64 {
     let mut h = FxHasher::default();
@@ -976,91 +969,64 @@ fn hash_key(key: &[Value]) -> u64 {
 /// A partitioned (radix-style) hash-join build: partition `h & mask` owns
 /// every build row whose key hashes to it, so workers build private maps
 /// with no cross-worker contention and no single-threaded merge into a
-/// shared table. Probes hash the key once to select the partition. Each
-/// key's match list preserves build scan order, exactly like the serial
-/// single-map build.
+/// shared table. Probes hash the key once to select the partition, whose
+/// map hashes the key `Vec` again (length first) with the same hasher.
+/// Each key's match list preserves build scan order, exactly like the
+/// serial single-map build.
 struct JoinTable {
     mask: u64,
     parts: Vec<FxHashMap<Vec<Value>, Vec<u32>>>,
 }
-
-/// One morsel's `(key, row)` pairs destined for one partition.
-type KeyedChunk = Vec<(Vec<Value>, u32)>;
 
 impl JoinTable {
     #[inline]
     fn get(&self, key: &[Value]) -> Option<&Vec<u32>> {
         self.parts[(hash_key(key) & self.mask) as usize].get(key)
     }
-
-    /// The table of a level with no equi-join conjunct (a cross product,
-    /// or a join whose only link is a non-equi residual): the level's probe
-    /// key is empty, and the empty key matches every filtered row, in scan
-    /// order.
-    fn cross(filtered: Vec<u32>) -> JoinTable {
-        JoinTable {
-            mask: 0,
-            parts: vec![std::iter::once((Vec::new(), filtered)).collect()],
-        }
-    }
 }
 
 /// Build a [`JoinTable`] over the filtered rows of `src`, keyed by the
-/// child-side equi-join programs. Phase 1 evaluates keys and scatters
-/// `(key, row)` pairs into per-morsel partition buckets (NULL keys never
-/// join and are dropped, as in the serial build); phase 2 transposes the
-/// buckets partition-major with `Vec` moves only, keeping chunks in morsel
-/// order; phase 3 folds whole partitions into private maps, one worker
-/// each — draining chunks in morsel order preserves scan order per key.
-fn build_join_table(
+/// child-side equi-join programs, through [`par_partition`]: a row whose
+/// key has a NULL never joins and is dropped, as in the serial build, and
+/// each partition's map takes its rows in scan order. A level with no
+/// equi-join conjunct has no programs: every filtered row lands under the
+/// empty key, in scan order, and the level's empty probe key matches them
+/// all.
+fn build_join_table<'c>(
     workers: usize,
     morsel: usize,
-    src: Source<'_>,
+    src: Source<'c>,
     filtered: &[u32],
-    key_progs: &[Program],
+    key_progs: &'c [Program],
 ) -> JoinTable {
-    let w = row_workers(workers, filtered.len());
-    let nparts = w.next_power_of_two();
-    let mask = (nparts - 1) as u64;
-
-    let scattered: Vec<Vec<KeyedChunk>> = par_map(w, morsel, filtered.len(), |_, range| {
-        let mut scratch = Scratch::new();
-        let mut parts: Vec<KeyedChunk> = vec![Vec::new(); nparts];
-        'rows: for fi in range {
-            let row = filtered[fi] as usize;
-            let col = |c: u32| src.cell(row, c as usize);
-            let mut key = Vec::with_capacity(key_progs.len());
-            for p in key_progs {
-                let v = p.eval_value(&col, &mut scratch);
-                if v.is_null() {
-                    continue 'rows; // NULL never joins
+    let key_of = |fi: usize, scratch: &mut Scratch<'c>| -> Option<Vec<Value>> {
+        let row = filtered[fi] as usize;
+        let col = |c: u32| src.cell(row, c as usize);
+        key_progs
+            .iter()
+            .map(|p| Some(p.eval_value(&col, scratch)).filter(|v| !v.is_null()))
+            .collect()
+    };
+    let parts = par_partition(
+        workers,
+        morsel,
+        filtered.len(),
+        |fi, scratch| key_of(fi, scratch).map(|key| hash_key(&key)),
+        |chunks| {
+            let mut scratch = Scratch::new();
+            let mut m: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
+            for &(fi, _) in chunks.iter().flatten() {
+                if let Some(key) = key_of(fi as usize, &mut scratch) {
+                    m.entry(key).or_default().push(filtered[fi as usize]);
                 }
-                key.push(v);
             }
-            parts[(hash_key(&key) & mask) as usize].push((key, filtered[fi]));
-        }
-        parts
-    });
-
-    let mut by_part: Vec<Vec<KeyedChunk>> = (0..nparts).map(|_| Vec::new()).collect();
-    for morsel_parts in scattered {
-        for (p, chunk) in morsel_parts.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                by_part[p].push(chunk);
-            }
-        }
+            m
+        },
+    );
+    JoinTable {
+        mask: (parts.len() - 1) as u64,
+        parts,
     }
-
-    let parts = par_map_vec(w, by_part, |_, chunks| {
-        let mut m: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for chunk in chunks {
-            for (key, row) in chunk {
-                m.entry(key).or_default().push(row);
-            }
-        }
-        m
-    });
-    JoinTable { mask, parts }
 }
 
 // ---------------------------------------------------------------------------
@@ -1422,23 +1388,19 @@ impl ParExec<'_> {
             .collect::<Result<Vec<Child>, ExecError>>()?;
         let sources: Vec<Source> = children.iter().map(Child::source).collect();
 
-        // One table per non-driver level over its prefiltered rows: hash
-        // partitions on the equi-join key, or every row under the empty key.
+        // One table per non-driver level over its prefiltered rows, hash
+        // partitioned on the equi-join key (empty for a level with none).
         let mut tables: Vec<JoinTable> = Vec::new();
         for (li, lvl) in plan.levels.iter().enumerate().skip(1) {
             let (kernels, resid) = lower_singles(&lvl.singles, sources[li]);
             let filtered = filter_indices(self.workers, self.morsel, sources[li], &kernels, &resid);
-            tables.push(if lvl.build.is_empty() {
-                JoinTable::cross(filtered)
-            } else {
-                build_join_table(
-                    self.workers,
-                    self.morsel,
-                    sources[li],
-                    &filtered,
-                    &lvl.build,
-                )
-            });
+            tables.push(build_join_table(
+                self.workers,
+                self.morsel,
+                sources[li],
+                &filtered,
+                &lvl.build,
+            ));
         }
 
         // Stream the driver: filter → walk the join levels → emit, all in

@@ -109,21 +109,7 @@ pub fn matched_rows(
     table: &str,
     where_clause: Option<&Expr>,
 ) -> Result<Vec<Row>, SumtabError> {
-    let q = Query {
-        distinct: false,
-        select: vec![SelectItem::Wildcard],
-        from: vec![TableRef::Named {
-            name: table.to_string(),
-            alias: None,
-        }],
-        where_clause: where_clause.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-    };
-    let g = build_query(&q, catalog).map_err(err)?;
-    execute_with(&g, db, exec).map_err(err)
+    select_star(catalog, db, exec, table, Vec::new(), where_clause)
 }
 
 /// The `(old rows, new rows)` delta of an UPDATE, computed in one pass:
@@ -159,13 +145,40 @@ pub fn update_deltas(
         }
         ords.push(i);
     }
-    let mut select = vec![SelectItem::Wildcard];
-    for (i, (_, e)) in sets.iter().enumerate() {
-        select.push(SelectItem::Expr {
+    let set_items = sets
+        .iter()
+        .enumerate()
+        .map(|(i, (_, e))| SelectItem::Expr {
             expr: e.clone(),
             alias: Some(format!("__set{i}")),
-        });
+        })
+        .collect();
+    let rows = select_star(catalog, db, exec, table, set_items, where_clause)?;
+    let mut old = Vec::with_capacity(rows.len());
+    let mut new = Vec::with_capacity(rows.len());
+    for mut r in rows {
+        let extras = r.split_off(ncols);
+        let mut n = r.clone();
+        for (slot, v) in ords.iter().zip(extras) {
+            n[*slot] = v;
+        }
+        old.push(r);
+        new.push(n);
     }
+    Ok((old, new))
+}
+
+/// Execute `SELECT *, extra.. FROM table [WHERE ..]`.
+fn select_star(
+    catalog: &Catalog,
+    db: &Database,
+    exec: &ExecOptions,
+    table: &str,
+    extra: Vec<SelectItem>,
+    where_clause: Option<&Expr>,
+) -> Result<Vec<Row>, SumtabError> {
+    let mut select = vec![SelectItem::Wildcard];
+    select.extend(extra);
     let q = Query {
         distinct: false,
         select,
@@ -180,19 +193,7 @@ pub fn update_deltas(
         limit: None,
     };
     let g = build_query(&q, catalog).map_err(err)?;
-    let rows = execute_with(&g, db, exec).map_err(err)?;
-    let mut old = Vec::with_capacity(rows.len());
-    let mut new = Vec::with_capacity(rows.len());
-    for mut r in rows {
-        let extras = r.split_off(ncols);
-        let mut n = r.clone();
-        for (slot, v) in ords.iter().zip(extras) {
-            n[*slot] = v;
-        }
-        old.push(r);
-        new.push(n);
-    }
-    Ok((old, new))
+    execute_with(&g, db, exec).map_err(err)
 }
 
 /// Convert parsed `INSERT ... VALUES` rows into concrete values. Public so
