@@ -20,7 +20,7 @@
 //! the grand-total row of an empty input for both.
 
 use crate::db::{null_bit, ColSlice, Row};
-use crate::exec::{par_partition, Source};
+use crate::exec::{par_partition, row_workers, Source};
 use crate::program::{Cell, Program, Scratch};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -452,7 +452,8 @@ impl<'a> Fold<'a> {
 /// Hash-aggregate one cuboid of `input`, read from `src`, partitioned by
 /// key hash through [`par_partition`]: a partition owns every row of its
 /// groups and folds them in global row order, so float accumulation
-/// matches the serial fold exactly. A group's key `Value`s are built once,
+/// matches the serial fold exactly; a single worker folds every row in
+/// place. A group's key `Value`s are built once,
 /// from its first-occurrence row while that row is in hand. Partitions are
 /// then merged by first-occurrence position, the serial entry order.
 pub(crate) fn grouped(
@@ -496,13 +497,20 @@ pub(crate) fn grouped(
         }
         return vec![(Vec::new(), accs)];
     }
-    let parts = par_partition(
-        workers,
-        morsel,
-        rows.len(),
-        |fi, _| Some(f.hash(fi)),
-        |chunks| f.fold_part(chunks.iter().flatten().copied()),
-    );
+    // A single worker folds in place: through the scatter, `mixed_dml`'s
+    // GROUP BYs over small summaries read `query_p50_us` +13.7% (EXPERIMENTS
+    // E-X8).
+    let parts = if row_workers(workers, rows.len()) == 1 {
+        vec![f.fold_part((0..rows.len()).map(|fi| (fi as u32, f.hash(fi))))]
+    } else {
+        par_partition(
+            workers,
+            morsel,
+            rows.len(),
+            |fi, _| Some(f.hash(fi)),
+            |chunks| f.fold_part(chunks.iter().flatten().copied()),
+        )
+    };
     let mut all: Vec<Entry> = parts.into_iter().flatten().collect();
     all.sort_by_key(|e| e.0);
     all.into_iter().map(|(_, k, a)| (k, a)).collect()
